@@ -202,6 +202,7 @@ class StorageSystem(ABC):
         self.buffer = WriteBuffer(config.buffer_pages)
         self._pending_background_us = 0.0
         self._retry_tails: dict[int, tuple[float, ...]] = {}
+        self._read_latencies: dict[int, float] = {}
 
     # --- host interface ------------------------------------------------------------
 
@@ -233,8 +234,7 @@ class StorageSystem(ABC):
         info = self.ssd.read_info(lpn, now_us)
         policy = self.level_adjust
         hits0, misses0 = policy.cache_hits, policy.cache_misses
-        required = policy.extra_levels(info.mode, info.pe_cycles, info.age_hours)
-        ber = policy.ber(info.mode, info.pe_cycles, info.age_hours)
+        required, ber = policy.levels_and_ber(info.mode, info.pe_cycles, info.age_hours)
         self.ssd.stats.ber_cache_hits += policy.cache_hits - hits0
         self.ssd.stats.ber_cache_misses += policy.cache_misses - misses0
         self.ssd.stats.record_extra_levels(required)
@@ -315,9 +315,12 @@ class StorageSystem(ABC):
 
     def _read_latency(self, required_levels: int, mode: CellMode) -> float:
         """Read latency given the page's required sensing levels."""
-        return self.latency.read_latency_us(
-            self._provisioned_levels(required_levels, mode)
-        )
+        provisioned = self._provisioned_levels(required_levels, mode)
+        latency = self._read_latencies.get(provisioned)
+        if latency is None:
+            latency = self.latency.read_latency_us(provisioned)
+            self._read_latencies[provisioned] = latency
+        return latency
 
     def _retry_tail(self, provisioned_levels: int) -> tuple[float, ...]:
         """Incremental retry-round costs above ``provisioned_levels``."""

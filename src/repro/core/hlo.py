@@ -109,16 +109,22 @@ class HloIdentifier:
             )
         self.reads_observed = 0
         self.hlo_hits = 0
+        # (freq level, extra levels) -> HLO verdict; the rule is frozen,
+        # so each pair is scored (and validated) once.
+        self._verdicts: dict[tuple[int, int], bool] = {}
 
     def observe_read(self, lpn: int, extra_levels: int) -> bool:
         """Record a read of logical page ``lpn`` and classify it.
 
         Returns True when the page's current score marks it HLO.
         """
-        self.hotness.record_read(lpn)
-        freq_level = self.hotness.frequency_level(lpn)
-        bucket = self.rule.sensing_bucket(extra_levels)
-        is_hlo = self.rule.is_hlo(freq_level, bucket)
+        freq_level = self.hotness.record_and_level(lpn)
+        pair = (freq_level, extra_levels)
+        is_hlo = self._verdicts.get(pair)
+        if is_hlo is None:
+            rule = self.rule
+            is_hlo = rule.is_hlo(freq_level, rule.sensing_bucket(extra_levels))
+            self._verdicts[pair] = is_hlo
         self.reads_observed += 1
         if is_hlo:
             self.hlo_hits += 1

@@ -7,6 +7,11 @@ the key into the current filter, and a key's hotness is the number of
 filters that contain it (recency-weighted frequency with bounded
 memory).  Ageing is free — the oldest filter is cleared when the window
 rotates.
+
+The tracker runs on every flash read, so hashing is pure Python-int
+arithmetic over a ``bytearray`` of bits: no numpy scalars on the hot
+path.  Positions are bit-identical to the former numpy ``uint64``
+formula — the explicit 64-bit mask reproduces its wrap-around.
 """
 
 from __future__ import annotations
@@ -15,32 +20,48 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: Additive mixing constant of the multiplicative hash (2**64 / phi).
+_GOLDEN = 0x9E3779B97F4A7C15
+
+#: Emulates uint64 wrap-around on Python's unbounded ints.
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+
 
 class _BloomFilter:
-    """A fixed-size Bloom filter over integer keys."""
+    """A fixed-size Bloom filter over non-negative 64-bit integer keys."""
 
-    def __init__(self, n_bits: int, seeds: np.ndarray):
+    def __init__(self, n_bits: int, seeds: tuple[int, ...]):
         self.n_bits = n_bits
-        self.bits = np.zeros(n_bits, dtype=bool)
+        self.bits = bytearray(n_bits)
         self._seeds = seeds
 
-    def _positions(self, key: int) -> np.ndarray:
+    def _positions(self, key: int) -> list[int]:
         # Knuth-style multiplicative hashing with per-function odd seeds;
         # masked to 64 bits to emulate the intended modular arithmetic.
-        mixed = (np.uint64(key) + np.uint64(0x9E3779B97F4A7C15)) * self._seeds
-        return (mixed >> np.uint64(17)) % np.uint64(self.n_bits)
+        mixed = key + _GOLDEN
+        n_bits = self.n_bits
+        return [(((mixed * seed) & _MASK64) >> 17) % n_bits for seed in self._seeds]
 
     def insert(self, key: int) -> None:
-        self.bits[self._positions(key)] = True
+        bits = self.bits
+        for position in self._positions(key):
+            bits[position] = 1
 
     def contains(self, key: int) -> bool:
-        return bool(self.bits[self._positions(key)].all())
+        # The per-read hot path: _positions inlined, stop at the first
+        # clear bit.
+        mixed = key + _GOLDEN
+        bits, n_bits = self.bits, self.n_bits
+        for seed in self._seeds:
+            if not bits[(((mixed * seed) & _MASK64) >> 17) % n_bits]:
+                return False
+        return True
 
     def clear(self) -> None:
-        self.bits[:] = False
+        self.bits[:] = bytes(self.n_bits)
 
     def fill_ratio(self) -> float:
-        return float(self.bits.mean())
+        return self.bits.count(1) / self.n_bits
 
 
 class MultiBloomHotness:
@@ -83,22 +104,29 @@ class MultiBloomHotness:
         self.window = window
         self._filters = []
         for _ in range(n_filters):
-            seeds = rng.integers(1, 2**63 - 1, size=n_hashes, dtype=np.int64)
-            seeds = (seeds.astype(np.uint64) << np.uint64(1)) | np.uint64(1)
+            draws = rng.integers(1, 2**63 - 1, size=n_hashes, dtype=np.int64)
+            seeds = tuple((int(draw) << 1) | 1 for draw in draws)
             self._filters.append(_BloomFilter(bits_per_filter, seeds))
         self._current = 0
         self._accesses_in_window = 0
 
     def record_read(self, key: int) -> None:
         """Record one read of ``key`` and rotate the window if due."""
-        self._filters[self._current].insert(key)
-        self._accesses_in_window += 1
-        if self._accesses_in_window >= self.window:
-            self._rotate()
+        self._record(_checked_key(key))
+
+    def record_and_level(self, key: int) -> int:
+        """Record one read of ``key`` and return its frequency level.
+
+        Equivalent to :meth:`record_read` followed by
+        :meth:`frequency_level`, validating the key once.
+        """
+        key = _checked_key(key)
+        self._record(key)
+        return self._level(self._count(key))
 
     def hotness(self, key: int) -> int:
         """Raw hotness: how many filters have seen ``key`` (0..n_filters)."""
-        return sum(1 for f in self._filters if f.contains(key))
+        return self._count(_checked_key(key))
 
     def frequency_level(self, key: int) -> int:
         """The key's read-frequency level ``Lf`` in ``[1, freq_levels]``.
@@ -108,15 +136,34 @@ class MultiBloomHotness:
         reaches level 2 only when 3+ filters have seen it — one access
         in the current window must not mark a page hot.
         """
-        count = self.hotness(key)
-        scaled = 1 + (count * self.freq_levels) // (self.n_filters + 1)
-        return min(scaled, self.freq_levels)
+        return self._level(self.hotness(key))
 
     def fill_ratios(self) -> list[float]:
         """Diagnostic: fraction of set bits in each filter."""
         return [f.fill_ratio() for f in self._filters]
 
+    def _record(self, key: int) -> None:
+        self._filters[self._current].insert(key)
+        self._accesses_in_window += 1
+        if self._accesses_in_window >= self.window:
+            self._rotate()
+
+    def _count(self, key: int) -> int:
+        return sum(1 for f in self._filters if f.contains(key))
+
+    def _level(self, count: int) -> int:
+        scaled = 1 + (count * self.freq_levels) // (self.n_filters + 1)
+        return min(scaled, self.freq_levels)
+
     def _rotate(self) -> None:
         self._current = (self._current + 1) % self.n_filters
         self._filters[self._current].clear()
         self._accesses_in_window = 0
+
+
+def _checked_key(key: int) -> int:
+    """``key`` as a Python int, rejected unless it fits in 64 unsigned bits."""
+    key = int(key)
+    if not 0 <= key <= _MASK64:
+        raise ConfigurationError(f"hotness key {key} outside [0, 2**64)")
+    return key

@@ -94,7 +94,9 @@ class LevelAdjustPolicy:
         self.age_grid = tuple(age_grid_hours)
         self.pe_bucket = pe_bucket
         self._ber_cache: dict[tuple[CellMode, int, float], float] = {}
-        self._levels_cache: dict[tuple[CellMode, int, float], int] = {}
+        #: (mode, P/E bucket, age bucket) -> (extra levels, BER): the
+        #: read-service table behind :meth:`levels_and_ber`.
+        self._service: dict[tuple[CellMode, int, float], tuple[int, float]] = {}
         #: Bucket-grid cache hits / misses (the trace simulators copy
         #: per-run deltas of these into :class:`~repro.ftl.stats.SsdStats`).
         self.cache_hits: int = 0
@@ -121,17 +123,30 @@ class LevelAdjustPolicy:
         no ladder walk.
         """
         cache_key = self._cache_key(mode, pe_cycles, age_hours)
-        cached = self._levels_cache.get(cache_key)
-        if cached is not None:
+        entry = self._service.get(cache_key)
+        if entry is not None:
             self.cache_hits += 1
-            return cached
+            return entry[0]
         self.cache_misses += 1
-        ber = self._ber_cache.get(cache_key)
-        if ber is None:
-            ber = self._evaluate_ber(cache_key)
-        levels = self.sensing.required_levels(ber)
-        self._levels_cache[cache_key] = levels
-        return levels
+        return self._fill_service(cache_key)[0]
+
+    def levels_and_ber(
+        self, mode: CellMode, pe_cycles: float, age_hours: float
+    ) -> tuple[int, float]:
+        """``(extra_levels(...), ber(...))`` from one bucket-grid lookup.
+
+        The per-read hot path of the trace simulators.  Cache counters
+        move exactly as the two separate calls would move them: a cold
+        bucket counts one miss and one hit, a warm bucket two hits.
+        """
+        cache_key = self._cache_key(mode, pe_cycles, age_hours)
+        entry = self._service.get(cache_key)
+        if entry is not None:
+            self.cache_hits += 2
+            return entry
+        self.cache_misses += 1
+        self.cache_hits += 1
+        return self._fill_service(cache_key)
 
     def cache_hit_rate(self) -> float:
         """Fraction of BER / sensing-level queries answered from cache."""
@@ -157,6 +172,14 @@ class LevelAdjustPolicy:
         self, mode: CellMode, pe_cycles: float, age_hours: float
     ) -> tuple[CellMode, int, float]:
         return (mode, self._pe_key(pe_cycles), self._age_key(age_hours))
+
+    def _fill_service(self, cache_key: tuple[CellMode, int, float]) -> tuple[int, float]:
+        ber = self._ber_cache.get(cache_key)
+        if ber is None:
+            ber = self._evaluate_ber(cache_key)
+        entry = (self.sensing.required_levels(ber), ber)
+        self._service[cache_key] = entry
+        return entry
 
     def _evaluate_ber(self, cache_key: tuple[CellMode, int, float]) -> float:
         mode, pe_key, age_key = cache_key

@@ -90,3 +90,24 @@ class TestIdentifier:
                 rule=OverheadRule(freq_levels=3),
                 hotness=MultiBloomHotness(freq_levels=2),
             )
+
+    def test_negative_extra_levels_rejected(self):
+        identifier = self.make_identifier()
+        identifier.observe_read(1, extra_levels=2)  # warm the verdict memo
+        with pytest.raises(ConfigurationError):
+            identifier.observe_read(1, extra_levels=-1)
+
+    def test_memoised_verdicts_match_rule(self):
+        """observe_read agrees with scoring every read through the rule."""
+        rule = OverheadRule(freq_levels=3, sensing_buckets=3)
+        identifier = HloIdentifier(
+            rule=rule, hotness=MultiBloomHotness(window=5, freq_levels=3)
+        )
+        reference = MultiBloomHotness(window=5, freq_levels=3)
+        for i in range(400):
+            lpn, extra = i % 7, (i * 5) % 9
+            reference.record_read(lpn)
+            expected = rule.is_hlo(
+                reference.frequency_level(lpn), rule.sensing_bucket(extra)
+            )
+            assert identifier.observe_read(lpn, extra) == expected

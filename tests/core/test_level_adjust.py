@@ -67,3 +67,66 @@ class TestPolicy:
             LevelAdjustPolicy(age_grid_hours=(10.0, 5.0))
         with pytest.raises(ConfigurationError):
             LevelAdjustPolicy(pe_bucket=0)
+
+
+class TestLevelsAndBer:
+    """The fused lookup moves the cache counters exactly as
+    ``extra_levels()`` followed by ``ber()`` did."""
+
+    PAGES = [
+        (CellMode.NORMAL, 6000, 720.0),
+        (CellMode.NORMAL, 5100, 25.0),
+        (CellMode.REDUCED, 4000, 168.0),
+        (CellMode.SLC, 0, 0.0),
+    ]
+
+    @pytest.fixture
+    def fresh(self, shared_policy):
+        """Factory of cold policies reusing the session's analyzers."""
+
+        def build():
+            return LevelAdjustPolicy(
+                normal_analyzer=shared_policy._analyzers[CellMode.NORMAL],
+                reduced_analyzer=shared_policy._analyzers[CellMode.REDUCED],
+                slc_analyzer=shared_policy._analyzers[CellMode.SLC],
+            )
+
+        return build
+
+    @staticmethod
+    def counters(policy):
+        return policy.cache_hits, policy.cache_misses
+
+    def test_cold_then_warm(self, fresh):
+        fused, split = fresh(), fresh()
+        for _ in range(2):  # first pass cold, second warm
+            for page in self.PAGES:
+                result = fused.levels_and_ber(*page)
+                assert result == (split.extra_levels(*page), split.ber(*page))
+                assert self.counters(fused) == self.counters(split)
+        # Cold: one miss + one hit per page; warm: two hits per page.
+        n = len(self.PAGES)
+        assert self.counters(fused) == (3 * n, n)
+
+    def test_cold_key_counts_one_miss_one_hit(self, fresh):
+        policy = fresh()
+        policy.levels_and_ber(*self.PAGES[0])
+        assert self.counters(policy) == (1, 1)
+        policy.levels_and_ber(*self.PAGES[0])
+        assert self.counters(policy) == (3, 1)
+
+    @pytest.mark.parametrize("first", ["ber", "extra_levels"])
+    def test_single_query_first(self, fresh, first):
+        fused, split = fresh(), fresh()
+        for page in self.PAGES:
+            getattr(fused, first)(*page)
+            getattr(split, first)(*page)
+            assert fused.levels_and_ber(*page) == (
+                split.extra_levels(*page),
+                split.ber(*page),
+            )
+            assert self.counters(fused) == self.counters(split)
+
+    def test_rejects_negative_inputs(self, fresh):
+        with pytest.raises(ConfigurationError):
+            fresh().levels_and_ber(CellMode.NORMAL, -1, 24)
