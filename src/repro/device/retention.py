@@ -96,6 +96,19 @@ class RetentionModel:
         """Standard deviation of the Vth drift."""
         return math.sqrt(max(self.shift_variance(x, pe_cycles, t_hours), 0.0))
 
+    def drift_moments(
+        self, x: np.ndarray, pe_cycles: float, t_hours: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`mean_shift` and :meth:`shift_sigma` over an array of
+        programmed voltages, with the same operations in the same order
+        (so bit-equal to the scalar methods)."""
+        self._check_args(pe_cycles, t_hours)
+        headroom = np.maximum(x - self.x0, 0.0)
+        log_term = math.log(1.0 + t_hours / self.t0_hours)
+        mu = self.ks * headroom * self.kd * pe_cycles**0.4 * log_term
+        variance = self.ks * headroom * self.km * pe_cycles**0.5 * log_term
+        return mu, np.sqrt(np.maximum(variance, 0.0))
+
     def effective_tail_weight(self, pe_cycles: float, t_hours: float) -> float:
         """Probability of an extra exponential tail event.
 
@@ -147,8 +160,7 @@ class RetentionModel:
             return initial
         axis = initial.axis()
         step = initial.step
-        mu = np.array([self.mean_shift(x, pe_cycles, t_hours) for x in axis])
-        sigma = np.array([self.shift_sigma(x, pe_cycles, t_hours) for x in axis])
+        mu, sigma = self.drift_moments(axis, pe_cycles, t_hours)
         max_drop = float((mu + 8.0 * sigma).max())
         pad = int(math.ceil(max_drop / step)) + 1
         out_axis = np.concatenate(

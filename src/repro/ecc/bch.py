@@ -68,6 +68,18 @@ class BchCode:
         else:
             self.message_length = self.k
         self.codeword_length = self.message_length + self.n_parity
+        # Polynomial degree of each received bit: the message holds the
+        # highest degrees, the parity the lowest, and the virtual zero
+        # pad of a shortened code the ones in between.
+        self._degrees = np.concatenate(
+            [
+                self.n - 1 - np.arange(self.message_length),
+                np.arange(self.n_parity - 1, -1, -1),
+            ]
+        )
+        self._syndrome_powers = np.arange(1, 2 * t + 1)[:, None]
+        # The generator as one int: bit i is the coefficient of x^i.
+        self._generator_bits = sum(c << i for i, c in enumerate(self.generator))
 
     @property
     def rate(self) -> float:
@@ -121,31 +133,27 @@ class BchCode:
         """Decode and also return the number of bits corrected."""
         received = self._as_bits(received, self.codeword_length, "received word")
         syndromes = self._syndromes(received)
-        if all(s == 0 for s in syndromes):
+        if not any(syndromes):
             return received[: self.message_length].copy(), 0
         locator = self._berlekamp_massey(syndromes)
         error_positions = self._chien_search(locator)
+        # Roots in the virtual pad of a shortened code are not among the
+        # positions, so they surface here as missing roots.
         if len(error_positions) != len(locator) - 1:
             raise DecodingFailure(
                 f"error locator degree {len(locator) - 1} but "
                 f"{len(error_positions)} roots found — more than t={self.t} errors"
             )
         corrected = received.copy()
-        for position in error_positions:
-            if position >= self.codeword_length:
-                raise DecodingFailure(
-                    "error located in the shortened (virtual) prefix — "
-                    f"more than t={self.t} errors"
-                )
-            corrected[position] ^= 1
-        if any(s != 0 for s in self._syndromes(corrected)):
+        corrected[error_positions] ^= 1
+        if any(self._syndromes(corrected)):
             raise DecodingFailure("residual syndrome after correction")
         return corrected[: self.message_length], len(error_positions)
 
     def detect_errors(self, received: np.ndarray) -> bool:
         """True if the received word has a non-zero syndrome."""
         received = self._as_bits(received, self.codeword_length, "received word")
-        return any(s != 0 for s in self._syndromes(received))
+        return any(self._syndromes(received))
 
     # --- internals ------------------------------------------------------------------
 
@@ -163,41 +171,27 @@ class BchCode:
         return generator
 
     def _polynomial_remainder(self, message_bits: np.ndarray) -> np.ndarray:
-        """Remainder of ``message * x^parity`` divided by the generator."""
-        register = np.zeros(self.n_parity, dtype=np.uint8)
-        gen = np.array(self.generator[:-1], dtype=np.uint8)  # drop leading 1
-        for bit in message_bits:
-            feedback = bit ^ register[-1]
-            register[1:] = register[:-1]
-            register[0] = 0
-            if feedback:
-                register ^= gen
-        return register[::-1].copy()
+        """Remainder of ``message * x^parity`` divided by the generator.
 
-    def _codeword_polynomial_coeffs(self, received: np.ndarray) -> np.ndarray:
-        """Received word as polynomial coefficients, degree-descending.
-
-        The systematic layout is ``[message | parity]`` with the message
-        occupying the highest-degree coefficients; in shortened form the
-        implicit zero pad sits between the message and the parity.
+        Long division over GF(2) on Python ints (bit ``i`` is the
+        coefficient of ``x^i``); the parity comes back degree-descending.
         """
-        full = np.zeros(self.n, dtype=np.uint8)
-        full[: self.message_length] = received[: self.message_length]
-        full[self.k :] = received[self.message_length :]
-        return full
+        packed = np.packbits(message_bits)
+        message = int.from_bytes(packed.tobytes(), "big") >> (
+            8 * packed.size - message_bits.size
+        )
+        remainder = message << self.n_parity
+        while (top := remainder.bit_length()) > self.n_parity:
+            remainder ^= self._generator_bits << (top - 1 - self.n_parity)
+        parity = remainder.to_bytes((self.n_parity + 7) // 8, "big")
+        return np.unpackbits(np.frombuffer(parity, dtype=np.uint8))[-self.n_parity :]
 
     def _syndromes(self, received: np.ndarray) -> list[int]:
-        field = self.field
-        coeffs = self._codeword_polynomial_coeffs(received)
-        positions = np.flatnonzero(coeffs)
-        syndromes = []
-        for i in range(1, 2 * self.t + 1):
-            s = 0
-            for pos in positions:
-                degree = self.n - 1 - int(pos)
-                s ^= field.alpha_pow(i * degree)
-            syndromes.append(s)
-        return syndromes
+        """``S_i = r(alpha^i)`` for i = 1..2t: one exponent matrix
+        ``(i * degree) mod n`` over the set bits, XOR-reduced per row."""
+        degrees = self._degrees[np.flatnonzero(received)]
+        powers = (self._syndrome_powers * degrees) % self.n
+        return np.bitwise_xor.reduce(self.field._exp[powers], axis=1).tolist()
 
     def _berlekamp_massey(self, syndromes: list[int]) -> list[int]:
         """Error-locator polynomial (coefficients, index = degree)."""
@@ -233,23 +227,28 @@ class BchCode:
         return locator
 
     def _chien_search(self, locator: list[int]) -> list[int]:
-        """Positions (codeword indices) of the located errors."""
+        """Positions (codeword indices) of the located errors.
+
+        A candidate error at polynomial degree ``d`` is a locator root
+        ``alpha^-d``.  The locator is evaluated at all ``n`` candidates
+        at once: term ``c_j x^j`` is ``alpha^(log c_j - j d)``, so one
+        exponent matrix is gathered from the field table and XOR-reduced
+        per candidate.  Roots in the virtual zero pad of a shortened
+        code are dropped.
+        """
         field = self.field
-        positions = []
-        for degree in range(self.n):
-            # Candidate error at polynomial degree `degree` corresponds
-            # to locator root alpha^{-degree}.
-            x = field.alpha_pow(-degree % field.order)
-            if field.poly_eval(locator, x) == 0:
-                index = self.n - 1 - degree
-                # Map full-length index back into the shortened layout.
-                if index < self.message_length:
-                    positions.append(index)
-                elif index < self.k:
-                    continue  # in the virtual zero pad: uncorrectable
-                else:
-                    positions.append(index - self.k + self.message_length)
-        return sorted(positions)
+        coeffs = np.asarray(locator)
+        powers = np.flatnonzero(coeffs)[:, None]
+        logs = field._log[coeffs[powers]]
+        exponents = (logs - powers * np.arange(self.n)) % field.order
+        values = np.bitwise_xor.reduce(field._exp[exponents], axis=0)
+        index = self.n - 1 - np.flatnonzero(values == 0)
+        index = index[(index < self.message_length) | (index >= self.k)]
+        # Map full-length indices back into the shortened layout.
+        positions = np.where(
+            index < self.message_length, index, index - self.k + self.message_length
+        )
+        return np.sort(positions).tolist()
 
     @staticmethod
     def _as_bits(bits: np.ndarray, expected: int, label: str) -> np.ndarray:

@@ -129,7 +129,99 @@ class BitFlipDecoder(_InstrumentedDecoder):
         )
 
 
-class MinSumDecoder(_InstrumentedDecoder):
+class EdgeLayout:
+    """The Tanner-graph edges of a parity-check matrix, grouped by check.
+
+    Edges are the ``(check, variable)`` pairs of ``H`` in row-major
+    order, so every check's edges are contiguous and :attr:`var` holds
+    each edge's variable node.  One ``np.ufunc.reduceat`` over
+    :attr:`starts` (the first edge of every non-empty check; the
+    matching :attr:`stops` are exclusive) reduces all checks at once;
+    :attr:`segment` maps each edge to its check's position in
+    :attr:`starts`, and :attr:`inactive` marks the edges of checks with
+    fewer than two edges, whose outgoing message is always 0.
+    """
+
+    def __init__(self, h: np.ndarray):
+        checks, variables = np.nonzero(h)
+        degrees = np.bincount(checks, minlength=h.shape[0])
+        nonempty = degrees > 0
+        self.var = variables
+        self.n_edges = checks.size
+        self.starts = (np.cumsum(degrees) - degrees)[nonempty]
+        self.stops = self.starts + degrees[nonempty]
+        self.segment = np.repeat(np.arange(self.starts.size), degrees[nonempty])
+        self.inactive = (degrees < 2)[checks]
+        self.index = np.arange(self.n_edges)
+
+    def satisfied(self, word: np.ndarray) -> bool:
+        """True when ``word`` meets every parity check (a zero syndrome,
+        computed over the edges instead of the dense ``H``)."""
+        return not np.bitwise_xor.reduceat(word[self.var], self.starts).any()
+
+
+class _SoftDecoder(_InstrumentedDecoder):
+    """Flooding message passing on LLR input (positive LLR = bit 0).
+
+    Subclasses supply the check-node rule, :meth:`_check_messages`,
+    which maps the variable-to-check messages of every edge to the
+    check-to-variable messages in one whole-array pass; the variable
+    update, tentative decision and convergence test are shared.  Each
+    subclass defines its own ``decode`` so that per-decoder timing
+    shims (``perf/layers.py``) find it on the class itself.
+    """
+
+    #: Decoder name in the non-convergence message.
+    label = "soft"
+
+    def __init__(
+        self,
+        code: LdpcCode,
+        max_iterations: int = 30,
+        registry: MetricsRegistry | None = None,
+    ):
+        if max_iterations <= 0:
+            raise ConfigurationError("max_iterations must be positive")
+        self.code = code
+        self.max_iterations = max_iterations
+        self.bind_registry(registry)
+        self.edges = EdgeLayout(code.h)
+
+    def _check_messages(self, var_msgs: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _propagate(self, llrs: np.ndarray) -> DecodeResult:
+        llrs = np.asarray(llrs, dtype=float)
+        if llrs.shape != (self.code.n,):
+            raise ConfigurationError(f"expected {self.code.n} LLRs")
+        if not np.isfinite(llrs).all():
+            raise ConfigurationError("LLRs must be finite")
+        hard = (llrs < 0) if self.telemetry is not None else None
+        edge_var = self.edges.var
+        var_msgs = llrs[edge_var]
+        for iteration in range(self.max_iterations):
+            check_msgs = self._check_messages(var_msgs)
+            # Variable update and tentative decision.
+            totals = llrs + np.bincount(
+                edge_var, weights=check_msgs, minlength=self.code.n
+            )
+            word = (totals < 0).astype(np.uint8)
+            if self.edges.satisfied(word):
+                flipped = (
+                    0
+                    if hard is None
+                    else int(np.count_nonzero(hard != (word != 0)))
+                )
+                self._record_decode(iteration + 1, True, flipped, self.code.n)
+                return DecodeResult(word, iteration + 1, True)
+            var_msgs = totals[edge_var] - check_msgs
+        self._record_decode(self.max_iterations, False, 0, self.code.n)
+        raise DecodingFailure(
+            f"{self.label} decoder did not converge", iterations=self.max_iterations
+        )
+
+
+class MinSumDecoder(_SoftDecoder):
     """Normalized min-sum decoding on LLR input.
 
     Positive LLR means bit = 0.  The normalization factor (default
@@ -138,6 +230,7 @@ class MinSumDecoder(_InstrumentedDecoder):
     """
 
     family = "ldpc.minsum"
+    label = "min-sum"
 
     def __init__(
         self,
@@ -146,66 +239,36 @@ class MinSumDecoder(_InstrumentedDecoder):
         normalization: float = 0.75,
         registry: MetricsRegistry | None = None,
     ):
-        if max_iterations <= 0:
-            raise ConfigurationError("max_iterations must be positive")
         if not 0 < normalization <= 1:
             raise ConfigurationError(f"normalization {normalization} outside (0, 1]")
-        self.code = code
-        self.max_iterations = max_iterations
+        super().__init__(code, max_iterations, registry)
         self.normalization = normalization
-        self.bind_registry(registry)
-        # Edge list: (check, variable) pairs in row-major order.
-        checks, variables = np.nonzero(code.h)
-        self._edge_check = checks
-        self._edge_var = variables
-        self._n_edges = checks.size
-        # Per-check slices of the edge list.
-        self._check_slices = np.searchsorted(checks, np.arange(code.h.shape[0] + 1))
 
     def decode(self, llrs: np.ndarray) -> DecodeResult:
         """Decode channel LLRs; raises on non-convergence."""
-        llrs = np.asarray(llrs, dtype=float)
-        if llrs.shape != (self.code.n,):
-            raise ConfigurationError(f"expected {self.code.n} LLRs")
-        hard = (llrs < 0) if self.telemetry is not None else None
-        check_msgs = np.zeros(self._n_edges)
-        var_msgs = llrs[self._edge_var].copy()
-        for iteration in range(self.max_iterations):
-            # Check update: for each check, outgoing = prod(sign) * min(|in|)
-            # over the other edges, scaled by the normalization factor.
-            signs = np.sign(var_msgs)
-            signs[signs == 0] = 1.0
-            magnitudes = np.abs(var_msgs)
-            for check in range(len(self._check_slices) - 1):
-                start, stop = self._check_slices[check], self._check_slices[check + 1]
-                if stop - start < 2:
-                    check_msgs[start:stop] = 0.0
-                    continue
-                seg_signs = signs[start:stop]
-                seg_mags = magnitudes[start:stop]
-                total_sign = np.prod(seg_signs)
-                order = np.argsort(seg_mags)
-                min1, min2 = seg_mags[order[0]], seg_mags[order[1]]
-                out_mags = np.full(stop - start, min1)
-                out_mags[order[0]] = min2
-                check_msgs[start:stop] = (
-                    self.normalization * total_sign * seg_signs * out_mags
-                )
-            # Variable update and tentative decision.
-            totals = llrs + np.bincount(
-                self._edge_var, weights=check_msgs, minlength=self.code.n
-            )
-            word = (totals < 0).astype(np.uint8)
-            if self.code.is_codeword(word):
-                flipped = (
-                    0
-                    if hard is None
-                    else int(np.count_nonzero(hard != (word != 0)))
-                )
-                self._record_decode(iteration + 1, True, flipped, self.code.n)
-                return DecodeResult(word, iteration + 1, True)
-            var_msgs = totals[self._edge_var] - check_msgs
-        self._record_decode(self.max_iterations, False, 0, self.code.n)
-        raise DecodingFailure(
-            "min-sum decoder did not converge", iterations=self.max_iterations
+        return self._propagate(llrs)
+
+    def _check_messages(self, var_msgs: np.ndarray) -> np.ndarray:
+        """Outgoing = prod(sign) * min(|in|) over a check's other edges,
+        scaled by the normalization factor."""
+        edges = self.edges
+        signs = np.sign(var_msgs)
+        signs[signs == 0] = 1.0
+        magnitudes = np.abs(var_msgs)
+        out_mags = np.minimum.reduceat(magnitudes, edges.starts)[edges.segment]
+        # The first edge holding a check's minimum hears the second
+        # smallest magnitude (equal to the minimum on a tie); every
+        # other edge hears the minimum.
+        first = np.minimum.reduceat(
+            np.where(magnitudes == out_mags, edges.index, edges.n_edges),
+            edges.starts,
         )
+        masked = magnitudes.copy()
+        masked[first] = np.inf
+        out_mags[first] = np.minimum.reduceat(masked, edges.starts)
+        total_sign = np.multiply.reduceat(signs, edges.starts)
+        check_msgs = (
+            self.normalization * total_sign[edges.segment] * signs * out_mags
+        )
+        check_msgs[edges.inactive] = 0.0
+        return check_msgs

@@ -11,77 +11,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ecc.ldpc.code import LdpcCode
-from repro.ecc.ldpc.decoder import DecodeResult, _InstrumentedDecoder
-from repro.errors import ConfigurationError, DecodingFailure
-from repro.obs.metrics import MetricsRegistry
+from repro.ecc.ldpc.decoder import DecodeResult, _SoftDecoder
 
 #: Clamp on intermediate tanh-domain magnitudes to avoid atanh(1).
 _TANH_CLIP = 1.0 - 1e-12
 
 
-class SumProductDecoder(_InstrumentedDecoder):
+class SumProductDecoder(_SoftDecoder):
     """Exact belief propagation on LLR input (positive LLR = bit 0)."""
 
     family = "ldpc.sumproduct"
-
-    def __init__(
-        self,
-        code: LdpcCode,
-        max_iterations: int = 30,
-        registry: MetricsRegistry | None = None,
-    ):
-        if max_iterations <= 0:
-            raise ConfigurationError("max_iterations must be positive")
-        self.code = code
-        self.max_iterations = max_iterations
-        self.bind_registry(registry)
-        checks, variables = np.nonzero(code.h)
-        self._edge_check = checks
-        self._edge_var = variables
-        self._n_edges = checks.size
-        self._check_slices = np.searchsorted(checks, np.arange(code.h.shape[0] + 1))
+    label = "sum-product"
 
     def decode(self, llrs: np.ndarray) -> DecodeResult:
         """Decode channel LLRs; raises on non-convergence."""
-        llrs = np.asarray(llrs, dtype=float)
-        if llrs.shape != (self.code.n,):
-            raise ConfigurationError(f"expected {self.code.n} LLRs")
-        hard = (llrs < 0) if self.telemetry is not None else None
-        check_msgs = np.zeros(self._n_edges)
-        var_msgs = llrs[self._edge_var].copy()
-        for iteration in range(self.max_iterations):
-            tanh_half = np.clip(np.tanh(var_msgs / 2.0), -_TANH_CLIP, _TANH_CLIP)
-            for check in range(len(self._check_slices) - 1):
-                start, stop = self._check_slices[check], self._check_slices[check + 1]
-                if stop - start < 2:
-                    check_msgs[start:stop] = 0.0
-                    continue
-                segment = tanh_half[start:stop]
-                total = np.prod(segment)
-                # Leave-one-out product; guard exact zeros.
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    leave_one_out = np.where(segment != 0.0, total / segment, 0.0)
-                if (segment == 0.0).any():
-                    for i in np.flatnonzero(segment == 0.0):
-                        others = np.delete(segment, i)
-                        leave_one_out[i] = np.prod(others)
-                leave_one_out = np.clip(leave_one_out, -_TANH_CLIP, _TANH_CLIP)
-                check_msgs[start:stop] = 2.0 * np.arctanh(leave_one_out)
-            totals = llrs + np.bincount(
-                self._edge_var, weights=check_msgs, minlength=self.code.n
-            )
-            word = (totals < 0).astype(np.uint8)
-            if self.code.is_codeword(word):
-                flipped = (
-                    0
-                    if hard is None
-                    else int(np.count_nonzero(hard != (word != 0)))
-                )
-                self._record_decode(iteration + 1, True, flipped, self.code.n)
-                return DecodeResult(word, iteration + 1, True)
-            var_msgs = totals[self._edge_var] - check_msgs
-        self._record_decode(self.max_iterations, False, 0, self.code.n)
-        raise DecodingFailure(
-            "sum-product decoder did not converge", iterations=self.max_iterations
-        )
+        return self._propagate(llrs)
+
+    def _check_messages(self, var_msgs: np.ndarray) -> np.ndarray:
+        """Outgoing = 2 atanh of the product of tanh(L/2) over a check's
+        other edges (leave-one-out: the check's product over the edge's
+        own factor)."""
+        edges = self.edges
+        tanh_half = np.clip(np.tanh(var_msgs / 2.0), -_TANH_CLIP, _TANH_CLIP)
+        total = np.multiply.reduceat(tanh_half, edges.starts)[edges.segment]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            leave_one_out = np.where(tanh_half != 0.0, total / tanh_half, 0.0)
+        # An exact zero factor has no quotient: multiply the others out.
+        for edge in np.flatnonzero((tanh_half == 0.0) & ~edges.inactive):
+            check = edges.segment[edge]
+            start, stop = edges.starts[check], edges.stops[check]
+            others = np.delete(tanh_half[start:stop], edge - start)
+            leave_one_out[edge] = np.prod(others)
+        leave_one_out = np.clip(leave_one_out, -_TANH_CLIP, _TANH_CLIP)
+        check_msgs = 2.0 * np.arctanh(leave_one_out)
+        check_msgs[edges.inactive] = 0.0
+        return check_msgs

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.calibration import calibrated_retention
 from repro.device.distributions import Distribution
 from repro.device.retention import RetentionModel
 from repro.errors import ConfigurationError
@@ -55,6 +57,28 @@ class TestMoments:
             RetentionModel(tail_weight=1.5)
         with pytest.raises(ConfigurationError):
             RetentionModel(tail_scale=0.0)
+
+
+class TestDriftMoments:
+    @pytest.mark.parametrize(
+        "pe, t", [(1.0, 0.5), (2000.0, 24.0), (6000, 720.0), (3217.5, 1.0e4)]
+    )
+    @pytest.mark.parametrize(
+        "model", [RetentionModel(), calibrated_retention()], ids=["paper", "calibrated"]
+    )
+    def test_bit_equal_to_scalar_methods(self, model, pe, t):
+        # Spans the erased level, so the clipped headroom is covered too.
+        axis = Distribution.gaussian(2.0, 0.5, 0.005).axis()
+        assert axis.min() < model.x0 < axis.max()
+        mu, sigma = model.drift_moments(axis, pe, t)
+        scalar_mu = np.array([model.mean_shift(x, pe, t) for x in axis])
+        scalar_sigma = np.array([model.shift_sigma(x, pe, t) for x in axis])
+        assert mu.tobytes() == scalar_mu.tobytes()
+        assert sigma.tobytes() == scalar_sigma.tobytes()
+
+    def test_rejects_negative_arguments(self):
+        with pytest.raises(ConfigurationError):
+            RetentionModel().drift_moments(np.zeros(3), -1.0, 1.0)
 
 
 class TestApply:
