@@ -166,16 +166,19 @@ class BerAnalyzer:
         include_c2c: bool = True,
         include_retention: bool = True,
     ) -> BerBreakdown:
-        """Per-bit error rate under the selected noise sources."""
+        """Per-bit error rate under the selected noise sources.
+
+        Without C2C the neighbour profile does not enter a level's
+        distribution, so each level is evaluated once and its error
+        terms are reused for every profile.
+        """
         usage = np.asarray(self.coding.level_usage())
-        total_weighted = 0.0
-        total_raw = 0.0
-        per_level: dict[int, float] = {lv: 0.0 for lv in range(self.plan.n_levels)}
-        for profile in self.profiles:
-            for level in range(self.plan.n_levels):
-                if usage[level] <= 0:
-                    continue
-                confusion = self.level_confusion(
+        levels = [lv for lv in range(self.plan.n_levels) if usage[lv] > 0]
+
+        def level_terms(profile: NeighborProfile) -> list[tuple[int, float, float]]:
+            terms = []
+            for level in levels:
+                misread = self.level_confusion(
                     level,
                     profile,
                     pe_cycles=pe_cycles,
@@ -183,10 +186,21 @@ class BerAnalyzer:
                     include_c2c=include_c2c,
                     include_retention=include_retention,
                 )
-                misread = confusion.copy()
                 misread[level] = 0.0
                 raw = float(usage[level] * misread.sum())
                 weighted = float(usage[level] * (misread @ self._weights[level]))
+                terms.append((level, raw, weighted))
+            return terms
+
+        if include_c2c:
+            profile_terms = [level_terms(profile) for profile in self.profiles]
+        else:
+            profile_terms = [level_terms(self.profiles[0])] * len(self.profiles)
+        total_weighted = 0.0
+        total_raw = 0.0
+        per_level: dict[int, float] = {lv: 0.0 for lv in range(self.plan.n_levels)}
+        for terms in profile_terms:
+            for level, raw, weighted in terms:
                 total_raw += raw
                 total_weighted += weighted
                 per_level[level] += weighted
@@ -267,11 +281,8 @@ class BerAnalyzer:
         if include_retention and t_hours > 0 and pe_cycles > 0:
             programmed = levels > 0
             x = voltages[programmed]
-            headroom = np.clip(x - self.retention.x0, 0.0, None)
-            log_term = np.log(1.0 + t_hours / self.retention.t0_hours)
-            mu = self.retention.ks * headroom * self.retention.kd * pe_cycles**0.4 * log_term
-            var = self.retention.ks * headroom * self.retention.km * pe_cycles**0.5 * log_term
-            drift = mu + np.sqrt(var) * rng.standard_normal(x.size)
+            mu, sigma = self.retention.drift_moments(x, pe_cycles, t_hours)
+            drift = mu + sigma * rng.standard_normal(x.size)
             tail_weight = self.retention.effective_tail_weight(pe_cycles, t_hours)
             if tail_weight > 0:
                 tail_hit = rng.random(x.size) < tail_weight

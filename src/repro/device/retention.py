@@ -168,19 +168,20 @@ class RetentionModel:
         )
         centers = axis - mu  # post-retention mean voltage per source bin
         # Column j of the kernel: density of landing at out_axis, for
-        # source bin j.  Degenerate sigma (=0) collapses to a delta.
-        diff = out_axis[:, None] - centers[None, :]
+        # source bin j, exp(-0.5 ((out - center) / sigma)^2) built in
+        # one buffer.  Degenerate sigma (~0) collapses to a delta at the
+        # nearest landing bin.
+        kernel = np.subtract(out_axis[:, None], centers[None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = diff / sigma[None, :]
-            kernel = np.exp(-0.5 * z**2)
-        degenerate = sigma < step / 4
-        if degenerate.any():
-            for j in np.flatnonzero(degenerate):
-                col = np.zeros(out_axis.size)
-                idx = int(round((centers[j] - out_axis[0]) / step))
-                idx = min(max(idx, 0), out_axis.size - 1)
-                col[idx] = 1.0
-                kernel[:, j] = col
+            np.divide(kernel, sigma, out=kernel)
+            np.square(kernel, out=kernel)
+            np.multiply(-0.5, kernel, out=kernel)
+            np.exp(kernel, out=kernel)
+        degenerate = np.flatnonzero(sigma < step / 4)
+        landing = np.rint((centers[degenerate] - out_axis[0]) / step)
+        landing = np.clip(landing, 0, out_axis.size - 1).astype(np.intp)
+        kernel[:, degenerate] = 0.0
+        kernel[landing, degenerate] = 1.0
         col_sums = kernel.sum(axis=0)
         col_sums[col_sums == 0] = 1.0
         kernel /= col_sums[None, :]

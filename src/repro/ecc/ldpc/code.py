@@ -1,10 +1,10 @@
 """The LDPC code object: parity-check matrix plus systematic encoder.
 
 A :class:`LdpcCode` owns a parity-check matrix ``H`` and the matching
-systematic generator derived by GF(2) elimination.  Encoding is a dense
-GF(2) matrix product; codewords carry the message bits in their first
-``k`` positions (after the internal column permutation, which the code
-object applies transparently in both directions).
+systematic generator derived by GF(2) elimination.  Encoding XORs the
+generator rows the message selects; codewords carry the message bits in
+their first ``k`` positions (after the internal column permutation,
+which the code object applies transparently in both directions).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class LdpcCode:
             raise ConfigurationError(f"message must have {self.k} bits")
         if message.size and message.max() > 1:
             raise ConfigurationError("message bits must be 0/1")
-        return (message @ self._generator) % 2
+        return np.bitwise_xor.reduce(self._generator[message.astype(bool)], axis=0)
 
     def extract_message(self, codeword: np.ndarray) -> np.ndarray:
         """Message bits of a (corrected) codeword."""
@@ -99,7 +99,9 @@ class LdpcCode:
         word = np.asarray(word, dtype=np.uint8)
         if word.shape != (self.n,):
             raise ConfigurationError(f"word must have {self.n} bits")
-        return (self.h @ word) % 2
+        # Each odd entry of the word selects its column of H once, as
+        # in the mod-2 product.
+        return np.bitwise_xor.reduce(self.h[:, (word & 1).astype(bool)], axis=1)
 
     def is_codeword(self, word: np.ndarray) -> bool:
         """True when the word satisfies every parity check."""

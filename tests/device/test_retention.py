@@ -11,6 +11,7 @@ from repro.analysis.calibration import calibrated_retention
 from repro.device.distributions import Distribution
 from repro.device.retention import RetentionModel
 from repro.errors import ConfigurationError
+from tests.device import reference as ref
 
 
 class TestMoments:
@@ -112,6 +113,55 @@ class TestApply:
         low = model.apply(Distribution.delta(2.7), 5000, 720.0)
         high = model.apply(Distribution.delta(3.7), 5000, 720.0)
         assert (3.7 - high.mean()) > (2.7 - low.mean())
+
+
+class TestApplyMatchesReference:
+    """The in-place kernel against the allocating one it replaced."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got.origin == want.origin
+        assert got.step == want.step
+        assert np.array_equal(got.pmf, want.pmf)
+        assert got.pmf.tobytes() == want.pmf.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pe=st.floats(min_value=0.0, max_value=8000.0),
+        t=st.floats(min_value=0.0, max_value=5000.0),
+        mean=st.floats(min_value=0.8, max_value=4.2),
+        sigma=st.floats(min_value=0.0, max_value=0.2),
+        calibrated=st.booleans(),
+    )
+    def test_random_operating_points(self, pe, t, mean, sigma, calibrated):
+        model = calibrated_retention() if calibrated else RetentionModel()
+        initial = Distribution.gaussian(mean, sigma)
+        self._assert_same(
+            model.apply(initial, pe, t), ref.retention_apply(model, initial, pe, t)
+        )
+
+    @pytest.mark.parametrize("t", [1.0e-9, 1.0e-4, 168.0])
+    def test_degenerate_columns(self, t):
+        """Source bins at or just above the erased level have sigma below
+        a quarter step and collapse to one-hot columns."""
+        model = calibrated_retention()
+        initial = Distribution.gaussian(model.x0, 0.05)
+        _, sigma = model.drift_moments(initial.axis(), 3000, t)
+        degenerate = sigma < initial.step / 4
+        assert degenerate.any()
+        if t < 1.0:
+            assert degenerate.all()
+        else:
+            assert not degenerate.all()
+        self._assert_same(
+            model.apply(initial, 3000, t), ref.retention_apply(model, initial, 3000, t)
+        )
+
+    def test_identity_paths_match(self):
+        model = RetentionModel()
+        initial = Distribution.gaussian(3.0, 0.05)
+        assert model.apply(initial, 0, 720.0) is initial
+        assert ref.retention_apply(model, initial, 0, 720.0) is initial
 
 
 class TestTail:

@@ -1,9 +1,10 @@
 """Scalar reference implementations of the whole-array ECC kernels.
 
 These are the per-check, per-power loops the decoders used before they
-were vectorised, kept verbatim as differential oracles: the production
-kernels must reproduce them bit for bit (check messages, codewords,
-iteration counts, syndromes, error positions and exceptions).
+were vectorised, and the dense uint8 mat-vecs of the LDPC encoder and
+syndrome, kept verbatim as differential oracles: the production kernels
+must reproduce them bit for bit (check messages, codewords, iteration
+counts, syndromes, error positions and exceptions).
 """
 
 from __future__ import annotations
@@ -166,3 +167,13 @@ def bch_decode(code: BchCode, received: np.ndarray) -> np.ndarray:
     if any(s != 0 for s in bch_syndromes(code, corrected)):
         raise DecodingFailure("residual syndrome after correction")
     return corrected[: code.message_length]
+
+
+def ldpc_encode(code: LdpcCode, message: np.ndarray) -> np.ndarray:
+    """The dense uint8 GF(2) mat-vec encoder."""
+    return (np.asarray(message, dtype=np.uint8) @ code._generator) % 2
+
+
+def ldpc_syndrome(code: LdpcCode, word: np.ndarray) -> np.ndarray:
+    """The dense uint8 ``H w^T`` syndrome."""
+    return (code.h @ np.asarray(word, dtype=np.uint8)) % 2

@@ -232,3 +232,70 @@ def test_bch_locator_root_in_virtual_pad_raises():
     assert any(code.message_length <= root < code.k for root in roots)
     with pytest.raises(DecodingFailure, match="roots found"):
         code.decode(received)
+
+
+class TestLdpcXorKernels:
+    """XOR-reduce encoder and syndrome against the dense uint8 mat-vecs."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(96, 3, 8, 11), (512, 3, 8, 2015), (540, 3, 27, 3)],
+        ids=["n96", "n512", "n540-rate8/9"],
+    )
+    def code(self, request):
+        n, wc, wr, seed = request.param
+        return LdpcCode.regular(n=n, wc=wc, wr=wr, seed=seed)
+
+    def test_encode_random_messages(self, code):
+        rng = np.random.default_rng(5)
+        for density in (0.02, 0.5, 0.98):
+            for _ in range(5):
+                message = (rng.random(code.k) < density).astype(np.uint8)
+                got = code.encode(message)
+                assert got.dtype == np.uint8
+                assert got.shape == (code.n,)
+                assert np.array_equal(got, ref.ldpc_encode(code, message))
+
+    @pytest.mark.parametrize("fill", [0, 1])
+    def test_encode_constant_messages(self, code, fill):
+        message = np.full(code.k, fill, dtype=np.uint8)
+        got = code.encode(message)
+        assert got.dtype == np.uint8
+        assert got.shape == (code.n,)
+        assert np.array_equal(got, ref.ldpc_encode(code, message))
+        if fill == 0:
+            assert not got.any()
+
+    def test_encode_accepts_lists_and_bools(self, code):
+        bits = [1, 0] * (code.k // 2) + [1] * (code.k % 2)
+        expected = ref.ldpc_encode(code, np.asarray(bits, dtype=np.uint8))
+        assert np.array_equal(code.encode(bits), expected)
+        assert np.array_equal(code.encode(np.asarray(bits, dtype=bool)), expected)
+
+    def test_encode_input_checks_kept(self, code):
+        with pytest.raises(ConfigurationError):
+            code.encode(np.zeros(code.k - 1, dtype=np.uint8))
+        bad = np.zeros(code.k, dtype=np.uint8)
+        bad[3] = 2
+        with pytest.raises(ConfigurationError):
+            code.encode(bad)
+
+    def test_syndrome_codewords_and_corrupted_words(self, code):
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            codeword = code.encode(rng.integers(0, 2, code.k, dtype=np.uint8))
+            for n_flips in (0, 1, 2, 7, code.n // 3):
+                word = codeword.copy()
+                word[rng.choice(code.n, size=n_flips, replace=False)] ^= 1
+                got = code.syndrome(word)
+                assert got.dtype == np.uint8
+                assert got.shape == (code.h.shape[0],)
+                assert np.array_equal(got, ref.ldpc_syndrome(code, word))
+                assert code.is_codeword(word) == (not got.any())
+        for fill in (0, 1):
+            word = np.full(code.n, fill, dtype=np.uint8)
+            assert np.array_equal(code.syndrome(word), ref.ldpc_syndrome(code, word))
+
+    def test_syndrome_reduces_entries_mod_two(self, code):
+        word = np.random.default_rng(4).integers(0, 4, code.n, dtype=np.uint8)
+        assert np.array_equal(code.syndrome(word), ref.ldpc_syndrome(code, word))
