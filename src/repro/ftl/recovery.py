@@ -794,7 +794,7 @@ def rebuild_ssd(
     Returns ``(ssd, reerased_blocks, grown_replayed, rescued_lpns)``.
     """
     from repro.faults import FaultInjector
-    from repro.ftl.ssd import _BAD, _FREE, _INT_TO_MODE, Ssd
+    from repro.ftl.ssd import _BAD, _FREE, Ssd
 
     config = manager.ssd_config
     injector = None
@@ -838,8 +838,7 @@ def rebuild_ssd(
         if ssd._block_mode[block] == _BAD:
             continue
         ssd._block_mode[block] = mode_int
-        mode = _INT_TO_MODE[int(mode_int)]
-        ssd._block_write_ptr[block] = ssd._usable_pages_by_mode(mode)
+        ssd._block_write_ptr[block] = ssd.block_usable_pages(block)
         if block in ssd._free_blocks:
             ssd._free_blocks.remove(block)
 

@@ -129,6 +129,24 @@ class Ssd:
         self.channel_telemetry = None
         n_logical = config.logical_pages
         n_physical = config.physical_pages
+        # SsdConfig is frozen, so the LPN bound and the per-mode block
+        # sizes are fixed for the drive's lifetime.
+        self._logical_pages = n_logical
+        self._usable_by_mode = {
+            CellMode.NORMAL: config.pages_per_block,
+            CellMode.REDUCED: config.reduced_pages_per_block,
+            CellMode.SLC: config.slc_pages_per_block,
+        }
+        # Usable pages per block-mode code, so that
+        # ``self._usable_by_code[self._block_mode]`` sizes every block at
+        # once: the mode codes index the first three entries, and the
+        # negative sentinels wrap to the last two (_BAD = -2 holds no
+        # pages, a _FREE = -1 block is full size).
+        self._usable_by_code = np.array(
+            [self._usable_by_mode[_INT_TO_MODE[code]] for code in range(3)]
+            + [0, config.pages_per_block],
+            dtype=np.int32,
+        )
         self._l2p = np.full(n_logical, _FREE, dtype=np.int64)
         self._p2l = np.full(n_physical, _FREE, dtype=np.int64)
         self._page_valid = np.zeros(n_physical, dtype=bool)
@@ -198,11 +216,7 @@ class Ssd:
         free, zero if retired)."""
         if not 0 <= block < self.config.n_blocks:
             raise ConfigurationError(f"block {block} outside [0, {self.config.n_blocks})")
-        if self._block_mode[block] == _BAD:
-            return 0
-        if self._block_mode[block] == _FREE:
-            return self.config.pages_per_block
-        return self._usable_pages_by_mode(self._mode_of_block(block))
+        return int(self._usable_by_code[self._block_mode[block]])
 
     def mode_of(self, lpn: int) -> CellMode | None:
         """Cell mode the logical page is currently stored in."""
@@ -218,25 +232,12 @@ class Ssd:
 
     def pages_in_mode(self, mode: CellMode) -> int:
         """Valid logical pages currently stored in ``mode`` blocks."""
-        code = _MODE_TO_INT[mode]
-        count = 0
-        for block in range(self.config.n_blocks):
-            if self._block_mode[block] == code:
-                count += int(self._block_valid[block])
-        return count
+        in_mode = self._block_mode == _MODE_TO_INT[mode]
+        return int(self._block_valid[in_mode].sum())
 
     def physical_page_supply(self) -> int:
         """Usable pages across all blocks given their current modes."""
-        supply = 0
-        for block in range(self.config.n_blocks):
-            mode = self._block_mode[block]
-            if mode == _BAD:
-                continue
-            if mode == _FREE:
-                supply += self.config.pages_per_block
-            else:
-                supply += self._usable_pages_by_mode(_INT_TO_MODE[int(mode)])
-        return supply
+        return int(self._usable_by_code[self._block_mode].sum())
 
     def channel_of(self, lpn: int, n_channels: int) -> int:
         """Channel a read/program of this logical page lands on.
@@ -531,13 +532,18 @@ class Ssd:
         return block, offset, gc_service
 
     def _allocate_page(self, mode: CellMode, slot: str = "host") -> tuple[int, int]:
-        active = self._active[(mode, slot)]
-        usable = self._usable_pages_by_mode(mode)
-        if active is None or self._block_write_ptr[active] >= usable:
-            active = self._take_free_block(mode, slot)
+        active = self._open_frontier(mode, slot)
         offset = int(self._block_write_ptr[active])
         self._block_write_ptr[active] += 1
         return active, offset
+
+    def _open_frontier(self, mode: CellMode, slot: str) -> int:
+        """The ``(mode, slot)`` frontier block, replaced by a fresh free
+        block when it is missing or full."""
+        active = self._active[(mode, slot)]
+        if active is None or self._block_write_ptr[active] >= self._usable_by_mode[mode]:
+            active = self._take_free_block(mode, slot)
+        return active
 
     def _take_free_block(self, mode: CellMode, slot: str = "host") -> int:
         if not self._free_blocks:
@@ -593,12 +599,12 @@ class Ssd:
             return 0.0
         excluded = {b for b in self._active.values() if b is not None}
         excluded.update(self._free_blocks)
-        excluded.update(int(b) for b in np.flatnonzero(self._block_mode == _BAD))
-        usable = np.array(
-            [self.block_usable_pages(b) for b in range(self.config.n_blocks)]
-        )
+        excluded.update(np.flatnonzero(self._block_mode == _BAD).tolist())
         cold = leveler.pick_cold_block(
-            self._block_erase, self._block_valid, usable, excluded
+            self._block_erase,
+            self._block_valid,
+            self._usable_by_code[self._block_mode],
+            excluded,
         )
         if cold is None:
             return 0.0
@@ -608,26 +614,29 @@ class Ssd:
         return service
 
     def _pick_victim(self) -> int | None:
-        """The non-active, non-free block with the fewest valid pages
-        (ties broken toward fully-written blocks to avoid churning the
-        write frontier)."""
-        active_blocks = {b for b in self._active.values() if b is not None}
-        best = None
-        best_key = None
-        for block in range(self.config.n_blocks):
-            if self._block_mode[block] in (_FREE, _BAD) or block in active_blocks:
-                continue
-            mode = self._mode_of_block(block)
-            usable = self._usable_pages_by_mode(mode)
-            if self._block_write_ptr[block] < usable:
-                continue  # still open for writes
-            valid = int(self._block_valid[block])
-            if valid >= usable:
-                continue  # nothing to reclaim
-            key = valid
-            if best_key is None or key < best_key:
-                best, best_key = block, key
-        return best
+        """The in-use, fully written, not fully valid, non-active block
+        with the fewest valid pages; the lowest block index wins a tie.
+
+        A pure function of the block arrays and the active frontiers —
+        no candidate set is maintained — so a remount that writes the
+        arrays directly (:func:`repro.ftl.recovery.rebuild_ssd`) needs
+        no extra bookkeeping.
+        """
+        usable = self._usable_by_code[self._block_mode]
+        valid = self._block_valid
+        candidate = (
+            (self._block_mode >= 0)
+            & (self._block_write_ptr >= usable)
+            & (valid < usable)
+        )
+        for block in self._active.values():
+            if block is not None:
+                candidate[block] = False
+        blocks = np.flatnonzero(candidate)
+        if blocks.size == 0:
+            return None
+        # argmin returns the first minimum: the lowest-index block.
+        return int(blocks[np.argmin(valid[blocks])])
 
     def _reclaim(self, victim: int, slot: str = "host") -> float:
         service = self._relocate_valid_pages(victim, slot)
@@ -666,39 +675,58 @@ class Ssd:
         return service
 
     def _relocate_valid_pages(self, victim: int, slot: str = "host") -> float:
-        """Copy every valid page off ``victim``; returns the flash work."""
-        service = 0.0
+        """Copy every valid page off ``victim``; returns the flash work.
+
+        Pages move in offset order into the ``(mode, slot)`` frontier,
+        one destination-block slice at a time.  A destination is opened
+        before the pages it takes are invalidated, so running out of
+        space leaves every unmoved page mapped.  Relocation copies old
+        data: the pages keep their age bookkeeping.
+        """
         mode = self._mode_of_block(victim)
+        code = _MODE_TO_INT[mode]
+        usable = self._usable_by_mode[mode]
+        timing = self.config.timing
         ppb = self.config.pages_per_block
         base = victim * ppb
-        for offset in range(int(self._block_write_ptr[victim])):
-            ppn = base + offset
-            if not self._page_valid[ppn]:
-                continue
-            lpn = int(self._p2l[ppn])
-            age_hours = self._write_time_hours[lpn]
-            service += self.config.timing.read_us
-            self.stats.flash_read_pages += 1
-            self._invalidate(ppn)
-            block, offset_new = self._allocate_page(mode, slot)
-            new_ppn = block * ppb + offset_new
-            self._l2p[lpn] = new_ppn
-            self._p2l[new_ppn] = lpn
-            self._page_valid[new_ppn] = True
-            self._block_valid[block] += 1
-            # Relocation copies old data: preserve its age bookkeeping.
-            self._write_time_hours[lpn] = age_hours
+        sources = base + np.flatnonzero(
+            self._page_valid[base : base + int(self._block_write_ptr[victim])]
+        )
+        if sources.size > self._block_valid[victim]:
+            raise FtlError(f"negative valid count in block {victim}")
+        lpns = self._p2l[sources]
+        service = 0.0
+        done = 0
+        while done < sources.size:
+            block = self._open_frontier(mode, slot)
+            start = int(self._block_write_ptr[block])
+            n = min(usable - start, sources.size - done)
+            moved = slice(done, done + n)
+            targets = slice(block * ppb + start, block * ppb + start + n)
+            self._page_valid[sources[moved]] = False
+            self._p2l[sources[moved]] = _FREE
+            self._block_valid[victim] -= n
+            self._l2p[lpns[moved]] = np.arange(targets.start, targets.stop)
+            self._p2l[targets] = lpns[moved]
+            self._page_valid[targets] = True
+            self._block_valid[block] += n
+            self._block_write_ptr[block] = start + n
             if self.recovery is not None:
-                self.recovery.record_program(
-                    lpn,
-                    new_ppn,
-                    _MODE_TO_INT[mode],
-                    "gc",
-                    write_time_hours=float(age_hours),
-                    initial_age_hours=float(self._initial_age_hours[lpn]),
-                )
-            service += self.config.timing.program_us
-            self.stats.gc_program_pages += 1
+                for lpn, ppn in zip(lpns[moved].tolist(), range(targets.start, targets.stop)):
+                    self.recovery.record_program(
+                        lpn,
+                        ppn,
+                        code,
+                        "gc",
+                        write_time_hours=float(self._write_time_hours[lpn]),
+                        initial_age_hours=float(self._initial_age_hours[lpn]),
+                    )
+            for _ in range(n):
+                service += timing.read_us
+                service += timing.program_us
+            self.stats.flash_read_pages += n
+            self.stats.gc_program_pages += n
+            done += n
         if self._block_valid[victim] != 0:
             raise FtlError(f"victim block {victim} still has valid pages")
         return service
@@ -746,15 +774,13 @@ class Ssd:
 
     def _space_report(self) -> str:
         """Pool accounting embedded in OutOfSpaceError messages."""
-        counts = {mode: 0 for mode in CellMode}
-        for block in range(self.config.n_blocks):
-            code = self._block_mode[block]
-            if code not in (_FREE, _BAD):
-                counts[_INT_TO_MODE[int(code)]] += 1
+        in_use = np.bincount(self._block_mode[self._block_mode >= 0], minlength=3)
         parts = [
             f"free={self.free_block_count()}",
             "in-use "
-            + " ".join(f"{mode.name.lower()}={n}" for mode, n in counts.items()),
+            + " ".join(
+                f"{mode.name.lower()}={in_use[_MODE_TO_INT[mode]]}" for mode in CellMode
+            ),
             f"gc_threshold={self.config.gc_free_block_threshold}",
         ]
         bbt = self.bad_block_table
@@ -766,13 +792,6 @@ class Ssd:
         if self.read_only:
             parts.append("read-only degraded mode")
         return "; ".join(parts)
-
-    def _usable_pages_by_mode(self, mode: CellMode) -> int:
-        if mode is CellMode.NORMAL:
-            return self.config.pages_per_block
-        if mode is CellMode.REDUCED:
-            return self.config.reduced_pages_per_block
-        return self.config.slc_pages_per_block
 
     def _mode_of_block(self, block: int) -> CellMode:
         mode = self._block_mode[block]
@@ -794,7 +813,5 @@ class Ssd:
         return self.config.initial_pe_cycles + float(self._block_erase[block])
 
     def _check_lpn(self, lpn: int) -> None:
-        if not 0 <= lpn < self.config.logical_pages:
-            raise ConfigurationError(
-                f"LPN {lpn} outside [0, {self.config.logical_pages})"
-            )
+        if not 0 <= lpn < self._logical_pages:
+            raise ConfigurationError(f"LPN {lpn} outside [0, {self._logical_pages})")

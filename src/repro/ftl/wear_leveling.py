@@ -63,20 +63,16 @@ class WearLeveler:
         least the spread threshold.  Among candidates the least-erased,
         fullest block is chosen — moving it frees the most-stuck data.
         """
-        n_blocks = erase_counts.shape[0]
-        candidates = []
-        max_erase = int(erase_counts.max())
-        for block in range(n_blocks):
-            if block in excluded:
-                continue
-            if valid_counts[block] < usable_counts[block]:
-                continue  # not fully valid: normal GC will get to it
-            if max_erase - int(erase_counts[block]) < self.spread_threshold:
-                continue
-            candidates.append(block)
-        if not candidates:
+        candidate = valid_counts >= usable_counts  # else normal GC gets to it
+        candidate &= erase_counts.max() - erase_counts >= self.spread_threshold
+        candidate[list(excluded)] = False
+        blocks = np.flatnonzero(candidate)
+        if blocks.size == 0:
             return None
-        return min(candidates, key=lambda b: (int(erase_counts[b]), -int(valid_counts[b])))
+        # lexsort is stable and its last key is the primary one: erase
+        # ascending, then valid descending, then block index ascending.
+        order = np.lexsort((-valid_counts[blocks], erase_counts[blocks]))
+        return int(blocks[order[0]])
 
 
 def erase_spread(erase_counts: np.ndarray) -> int:

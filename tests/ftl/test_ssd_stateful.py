@@ -1,10 +1,11 @@
 """Stateful property test: the SSD's invariants under random operations.
 
-Hypothesis drives arbitrary interleavings of writes, migrations and
-reads against a tiny SSD and checks the mapping/accounting invariants
-after every step — the strongest guard we have against FTL state
-corruption (the class of bug FlashSim-style simulators are notorious
-for).
+Hypothesis drives arbitrary interleavings of writes, migrations, trims
+and reads against a tiny SSD and checks the mapping/accounting
+invariants after every step — the strongest guard we have against FTL
+state corruption (the class of bug FlashSim-style simulators are
+notorious for).  A second machine runs the same rules with static wear
+leveling on, so its cold-block relocations are checked too.
 """
 
 import numpy as np
@@ -21,20 +22,30 @@ from repro.core.level_adjust import CellMode
 from repro.errors import OutOfSpaceError
 from repro.ftl.config import SsdConfig
 from repro.ftl.ssd import Ssd
+from repro.ftl.wear_leveling import WearLeveler
 
 _MODES = (CellMode.NORMAL, CellMode.REDUCED, CellMode.SLC)
 
 
 class SsdMachine(RuleBasedStateMachine):
-    @initialize(prefill=st.integers(0, 60))
+    #: Static wear-leveling policy of the drive under test (None: off).
+    wear_leveler = None
+
+    @initialize(prefill=st.integers(0, 100))
     def setup(self, prefill):
+        # 100 logical pages over 16 blocks of 8: a few dozen writes fill
+        # the free pool, so most runs garbage-collect.
         self.config = SsdConfig(
-            n_blocks=32,
+            n_blocks=16,
             pages_per_block=8,
             page_size_bytes=4096,
             gc_free_block_threshold=2,
         )
-        self.ssd = Ssd(self.config, prefill_pages=min(prefill, self.config.logical_pages))
+        self.ssd = Ssd(
+            self.config,
+            prefill_pages=min(prefill, self.config.logical_pages),
+            wear_leveler=self.wear_leveler,
+        )
         self.written = set(range(min(prefill, self.config.logical_pages)))
         self.clock = 0.0
 
@@ -51,6 +62,16 @@ class SsdMachine(RuleBasedStateMachine):
             return  # capacity exhausted (e.g. everything SLC): state intact
         self.written.add(lpn)
 
+    @rule(
+        raw=st.integers(0, 10_000),
+        length=st.integers(2, 24),
+        mode=st.sampled_from(_MODES),
+    )
+    def write_run(self, raw, length, mode):
+        """A sequential burst: fills blocks fast enough to drive GC."""
+        for step in range(length):
+            self.write(raw + step, mode)
+
     @rule(raw=st.integers(0, 10_000), mode=st.sampled_from(_MODES))
     def migrate(self, raw, mode):
         lpn = self._lpn(raw)
@@ -61,6 +82,15 @@ class SsdMachine(RuleBasedStateMachine):
             self.ssd.migrate(lpn, mode, now_us=self.clock)
         except OutOfSpaceError:
             return
+
+    @rule(raw=st.integers(0, 10_000))
+    def trim(self, raw):
+        lpn = self._lpn(raw)
+        was_mapped = self.ssd._l2p[lpn] >= 0
+        assert self.ssd.trim(lpn) == was_mapped
+        assert self.ssd._l2p[lpn] == -1
+        assert self.ssd.mode_of(lpn) is None
+        self.written.discard(lpn)
 
     @rule(raw=st.integers(0, 10_000))
     def read(self, raw):
@@ -90,6 +120,31 @@ class SsdMachine(RuleBasedStateMachine):
         assert (per_block == ssd._block_valid).all()
 
     @invariant()
+    def pages_are_conserved_per_block(self):
+        """free + valid + invalid = usable pages in every block, with
+        the write pointer inside [0, usable]."""
+        ssd = getattr(self, "ssd", None)
+        if ssd is None:
+            return
+        config = ssd.config
+        by_code = {
+            -2: 0,
+            -1: config.pages_per_block,
+            0: config.pages_per_block,
+            1: config.reduced_pages_per_block,
+            2: config.slc_pages_per_block,
+        }
+        usable = np.array([by_code[int(code)] for code in ssd._block_mode])
+        write_ptr = ssd._block_write_ptr
+        assert ((write_ptr >= 0) & (write_ptr <= usable)).all()
+        pages = ssd._page_valid.reshape(config.n_blocks, -1)
+        written = np.arange(config.pages_per_block) < write_ptr[:, None]
+        valid = pages.sum(axis=1)
+        invalid = (written & ~pages).sum(axis=1)
+        free = usable - write_ptr
+        assert (free + valid + invalid == usable).all()
+
+    @invariant()
     def written_pages_stay_mapped(self):
         ssd = getattr(self, "ssd", None)
         if ssd is None:
@@ -107,7 +162,15 @@ class SsdMachine(RuleBasedStateMachine):
             assert ssd._block_valid[block] == 0
 
 
+class LeveledSsdMachine(SsdMachine):
+    wear_leveler = WearLeveler(spread_threshold=2, check_interval=1)
+
+
 TestSsdStateful = SsdMachine.TestCase
 TestSsdStateful.settings = settings(
+    max_examples=30, stateful_step_count=60, deadline=None
+)
+TestLeveledSsdStateful = LeveledSsdMachine.TestCase
+TestLeveledSsdStateful.settings = settings(
     max_examples=30, stateful_step_count=60, deadline=None
 )

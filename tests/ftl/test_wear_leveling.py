@@ -25,6 +25,18 @@ class TestPolicyUnit:
         # block 3 is cold but not fully valid; block 1 qualifies
         assert leveler.pick_cold_block(erase, valid, usable, set()) == 1
 
+    def test_pick_cold_block_tie_order(self):
+        """Erase count ascending, then valid count descending, then the
+        lowest block index."""
+        leveler = WearLeveler(spread_threshold=5)
+        erase = np.array([10, 1, 1, 1, 2])
+        valid = np.array([4, 3, 4, 4, 4])
+        usable = np.array([4, 3, 4, 4, 4])
+        assert leveler.pick_cold_block(erase, valid, usable, set()) == 2
+        assert leveler.pick_cold_block(erase, valid, usable, {2}) == 3
+        assert leveler.pick_cold_block(erase, valid, usable, {2, 3}) == 1
+        assert leveler.pick_cold_block(erase, valid, usable, {1, 2, 3}) == 4
+
     def test_no_candidate_below_threshold(self):
         leveler = WearLeveler(spread_threshold=5)
         erase = np.array([3, 1, 2])

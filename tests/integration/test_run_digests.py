@@ -1,12 +1,14 @@
-"""Pinned digests of small seeded runs that exercise the read path.
+"""Pinned digests of small seeded runs that exercise the read and GC paths.
 
-Read-path optimisations (Bloom hashing, memoised read-service lookups,
-whole-array decoders) must leave every simulated output unchanged.  Each
-simulation run's ``result.summary()`` and the SSD's
-``SsdStats.snapshot()`` (BER-cache hits and misses, promotions,
-demotions, the extra-level histogram) are hashed and compared against
-digests recorded before those optimisations; the ECC run hashes cold
-BER values and every decoded frame.  Floats are canonicalised to 12
+Hot-path optimisations (Bloom hashing, memoised read-service lookups,
+whole-array decoders, array-native garbage collection) must leave every
+simulated output unchanged.  Each simulation run's ``result.summary()``
+and the SSD's ``SsdStats.snapshot()`` (BER-cache hits and misses,
+promotions, demotions, the extra-level histogram, GC and fault
+counters) are hashed and compared against digests recorded before those
+optimisations; the ECC run hashes cold BER values and every decoded
+frame, and the direct FTL stream hashes the final mapping, the erase
+counts and the durable record log.  Floats are canonicalised to 12
 significant digits so a last-ulp difference between numpy builds cannot
 flip a digest, while any behavioural change still does.
 """
@@ -31,8 +33,13 @@ from repro.ecc.ldpc import (
     SensingLevelPolicy,
     SumProductDecoder,
 )
+from repro.core.level_adjust import CellMode
 from repro.errors import DecodingFailure
+from repro.faults import FaultConfig, FaultInjector
 from repro.ftl.config import SsdConfig
+from repro.ftl.recovery import RecoveryConfig, RecoveryManager, recovery_fingerprint
+from repro.ftl.ssd import Ssd
+from repro.ftl.wear_leveling import WearLeveler
 from repro.serve import ServeEngine, parse_mix
 from repro.sim import DesSimulationEngine
 from repro.traces.workloads import make_workload
@@ -44,6 +51,10 @@ SERVE_SUMMARY_DIGEST = "264c12ea2cc71654"
 SERVE_STATS_DIGEST = "f09f0d1b80e6ddd6"
 #: Recorded on the scalar (per-check, per-power) decoders.
 ECC_DIGEST = "fef52fec24d4675d"
+#: Recorded on the per-block Python GC loops (victim scan, relocation).
+GC_DES_SUMMARY_DIGEST = "1d40bd2d255f866a"
+GC_DES_STATS_DIGEST = "eaad5735d2981d0b"
+FTL_STREAM_DIGEST = "fc5f190f911c62c9"
 
 
 def digest(payload: dict) -> str:
@@ -86,6 +97,81 @@ def serve_run():
     specs = parse_mix("fin-2:3,fin-2:1:10", n_requests=150, slo_us=2000.0)
     engine = ServeEngine(system, specs, seed=11, scheduler="wfq", n_channels=4)
     return engine.run(), system
+
+
+def gc_des_run():
+    """LevelAdjust-only on prj-1 through DES at 64 blocks: every write
+    lands in reduced mode, so GC runs on most writes (write
+    amplification ~6.5)."""
+    ssd = SsdConfig(n_blocks=64, pages_per_block=64, over_provisioning=0.35)
+    workload = make_workload("prj-1", ssd.logical_pages)
+    config = SystemConfig(
+        ssd=ssd,
+        footprint_pages=workload.footprint_pages,
+        buffer_pages=32,
+        hotness_window=64,
+    )
+    system = build_system("leveladjust-only", config, level_adjust=LevelAdjustPolicy())
+    records = workload.generate(4000, seed=5)
+    engine = DesSimulationEngine(system, n_channels=4)
+    return engine.run(records, workload_name="prj-1"), system
+
+
+def ftl_stream_run() -> tuple[Ssd, dict]:
+    """A direct ``Ssd`` write stream over every GC side path.
+
+    Mixed normal/reduced/SLC writes and trims on a drive with a wear
+    leveler, an enabled fault injector (manufacture-bad blocks, program
+    and erase failures, so blocks are retired with live data on them)
+    and a recovery manager recording every program, erase, trim and
+    retirement.
+    """
+    config = SsdConfig(
+        n_blocks=64, pages_per_block=16, gc_free_block_threshold=2, initial_pe_cycles=6000
+    )
+    faults = FaultConfig(
+        enabled=True,
+        seed=7,
+        initial_bad_block_rate=0.03,
+        program_fail_base=1e-3,
+        erase_fail_base=2e-3,
+        spare_block_fraction=0.2,
+        scrub_enabled=False,
+    )
+    manager = RecoveryManager(RecoveryConfig(checkpoint_interval_us=200_000.0), config)
+    prefill = int(config.logical_pages * 0.7)
+    ssd = Ssd(
+        config,
+        prefill_pages=prefill,
+        reduced_prefix_pages=prefill // 4,
+        initial_age_hours=12.0,
+        wear_leveler=WearLeveler(spread_threshold=3, check_interval=2),
+        fault_injector=FaultInjector(faults),
+        recovery=manager,
+    )
+    rng = np.random.default_rng(17)
+    modes = (CellMode.NORMAL, CellMode.REDUCED, CellMode.SLC)
+    now = 0.0
+    for _ in range(6000):
+        now += 250.0
+        draw = rng.random()
+        if draw < 0.03:
+            ssd.trim(int(rng.integers(prefill)))
+            continue
+        lpn = int(rng.integers(prefill // 3 if draw < 0.8 else prefill))
+        ssd.host_write(lpn, modes[int(rng.choice(3, p=[0.7, 0.28, 0.02]))], now)
+    log = [
+        [type(record).__name__, *(getattr(record, name) for name in record.__slots__)]
+        for record in manager._log
+    ]
+    mapping = sorted(manager.scan_at(now).mapping().items())
+    payload = {
+        **ssd.stats.snapshot(),
+        "l2p": hashlib.sha256(ssd._l2p.tobytes()).hexdigest(),
+        "block_erase": hashlib.sha256(ssd._block_erase.tobytes()).hexdigest(),
+        "recovery": recovery_fingerprint({"log": log, "mapping": mapping}),
+    }
+    return ssd, payload
 
 
 def _frame(bits: np.ndarray) -> str:
@@ -181,3 +267,19 @@ class TestRunDigests:
         assert any(not v.startswith("fail") and not v.endswith(":1") for v in ldpc)
         assert "fail" in payload.values()  # an overloaded BCH frame
         assert digest(payload) == ECC_DIGEST
+
+    def test_gc_des_run_is_unchanged(self):
+        result, system = gc_des_run()
+        stats = system.ssd.stats.snapshot()
+        assert stats["write_amplification"] > 5.0
+        assert stats["erase_blocks"] > 500
+        assert digest(result.summary()) == GC_DES_SUMMARY_DIGEST
+        assert digest(stats) == GC_DES_STATS_DIGEST
+
+    def test_ftl_stream_is_unchanged(self):
+        ssd, payload = ftl_stream_run()
+        stats = ssd.stats
+        assert stats.program_fail_events > 0 and stats.erase_fail_events > 0
+        assert stats.wear_level_moves > 0 and stats.trimmed_pages > 0
+        assert not ssd.read_only
+        assert digest(payload) == FTL_STREAM_DIGEST
