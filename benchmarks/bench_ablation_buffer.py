@@ -9,7 +9,7 @@ from conftest import BENCH_SEED, QUICK, write_table
 
 from repro.analysis.experiments import SystemExperimentConfig
 from repro.baselines.systems import SystemConfig, build_system
-from repro.sim.engine import SimulationEngine
+from repro.sim import DesSimulationEngine
 from repro.traces.workloads import make_workload
 
 N_REQUESTS = 4_000 if QUICK else 20_000
@@ -31,7 +31,10 @@ def _run_sweep(shared_policy):
             buffer_pages=buffer_pages,
         )
         system = build_system("flexlevel", system_config, level_adjust=shared_policy)
-        result = SimulationEngine(system, warmup_fraction=0.25).run(trace, "prj-1")
+        engine = DesSimulationEngine(
+            system, warmup_fraction=0.25, n_channels=1, retry_model=None
+        )
+        result = engine.run(trace, "prj-1")
         out[buffer_pages] = {
             "mean_response_us": result.mean_response_us(),
             "flash_programs": result.stats["total_program_pages"],

@@ -12,7 +12,7 @@ from conftest import BENCH_SEED, QUICK, write_table
 from repro.analysis.experiments import SystemExperimentConfig
 from repro.baselines.systems import SystemConfig, build_system
 from repro.core.hlo import OverheadRule
-from repro.sim.engine import SimulationEngine
+from repro.sim import DesSimulationEngine
 from repro.traces.workloads import make_workload
 
 N_REQUESTS = 4_000 if QUICK else 20_000
@@ -48,7 +48,10 @@ def _run_variants(shared_policy):
                 max_extra_levels=shared_policy.sensing.max_levels,
                 threshold=rule_kwargs["threshold"],
             )
-        result = SimulationEngine(system, warmup_fraction=0.25).run(trace, "fin-2")
+        engine = DesSimulationEngine(
+            system, warmup_fraction=0.25, n_channels=1, retry_model=None
+        )
+        result = engine.run(trace, "fin-2")
         out[name] = {
             "mean_response_us": result.mean_response_us(),
             "mean_extra_levels": result.stats["mean_extra_levels"],

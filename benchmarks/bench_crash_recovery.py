@@ -27,7 +27,8 @@ INTERVALS_US = (
 )
 WORKLOAD = "prj-1"  # the write-heaviest paper mix: real journal growth
 SPO_RATE_PER_S = 2.0
-ENGINE = "queue"
+#: One channel without read retry: the single FIFO queue.
+LAYOUT = {"n_channels": 1, "retry": False}
 
 
 def make_setup():
@@ -53,7 +54,7 @@ def run_sweep():
             trace,
             PowerConfig(enabled=True, at_us=crash_us),
             recovery=RecoveryConfig(checkpoint_interval_us=interval),
-            engine=ENGINE,
+            **LAYOUT,
         )
         fixed[interval] = run
     cycles = run_with_crashes(
@@ -67,14 +68,14 @@ def run_sweep():
             max_crashes=4,
         ),
         recovery=RecoveryConfig(checkpoint_interval_us=INTERVALS_US[0]),
-        engine=ENGINE,
+        **LAYOUT,
     )
     return fixed, cycles
 
 
 def test_crash_recovery(benchmark, results_dir, bench_case):
     bench_case.configure(
-        engine=ENGINE,
+        **LAYOUT,
         n_requests=N_REQUESTS,
         workload=WORKLOAD,
         checkpoint_intervals_us=list(INTERVALS_US),
@@ -83,7 +84,7 @@ def test_crash_recovery(benchmark, results_dir, bench_case):
     fixed, cycles = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
 
     lines = [
-        f"flexlevel, {ENGINE} engine, {WORKLOAD}, {N_REQUESTS} requests, "
+        f"flexlevel, single queue, {WORKLOAD}, {N_REQUESTS} requests, "
         "one power cut at 50% of the trace span",
         "",
         f"{'interval us':>12s} {'ckpts':>6s} {'journal':>8s} "

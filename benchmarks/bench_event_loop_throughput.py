@@ -1,12 +1,14 @@
-"""Event-loop throughput floor: events/sec and requests/sec, both engines.
+"""Event-loop throughput floor: events/sec and requests/sec of the engine.
 
-ROADMAP item 1 plans a >= 10x DES request-throughput refactor; this
-bench is the regression gate that the refactor must beat and that
-every unrelated PR must not erode.  It replays one paper workload
-through the queue engine and the DES engine and records wall-clock
-events/sec and requests/sec straight from the engines' own loop
-accounting (``SimulationResult.wall_*``, the same counters behind the
-``sim.wall.*`` gauges and every bench's ``wall`` sidecar).
+This bench is the regression gate an event-loop speed-up must beat and
+that every unrelated change must not erode.  It replays one paper
+workload through the DES engine in two layouts — four channels with
+read retry (the CLI default) and the single FIFO queue without retry
+that the Fig. 6/7 drivers, the ablations and the crash bench run — and
+records wall-clock events/sec and requests/sec straight from the
+engine's own loop accounting (``DesSimulationResult.wall_*``, the same
+counters behind the ``sim.wall.*`` gauges and every bench's ``wall``
+sidecar).
 
 Wall throughput is machine-dependent, so the gated specs declare a
 wide tolerance — the gate catches "the loop got several times slower",
@@ -23,12 +25,7 @@ from conftest import BENCH_SEED, QUICK, write_table
 from repro.baselines.systems import SystemConfig, build_system
 from repro.core.level_adjust import LevelAdjustPolicy
 from repro.ftl.config import SsdConfig
-from repro.sim import (
-    DesSimulationEngine,
-    ReadRetryConfig,
-    ReadRetryModel,
-    SimulationEngine,
-)
+from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel
 from repro.traces.workloads import make_workload
 
 WORKLOAD = "fin-2"
@@ -45,7 +42,11 @@ ROUNDS = 2 if QUICK else 3
 WALL_TOLERANCE = 0.60
 
 
-def _build_engine(kind: str, policy):
+#: Engine layouts: name -> (channels, read retry).
+LAYOUTS = {"des": (N_CHANNELS, True), "single": (1, False)}
+
+
+def _build_engine(layout: str, policy):
     ssd_config = SsdConfig(
         n_blocks=256, pages_per_block=64, initial_pe_cycles=6000
     )
@@ -57,30 +58,28 @@ def _build_engine(kind: str, policy):
         buffer_pages=512,
     )
     system = build_system("flexlevel", config, level_adjust=policy)
-    if kind == "des":
-        engine = DesSimulationEngine(
-            system,
-            warmup_fraction=0.25,
-            n_channels=N_CHANNELS,
-            retry_model=ReadRetryModel(ReadRetryConfig(seed=2015)),
-        )
-    else:
-        engine = SimulationEngine(
-            system, warmup_fraction=0.25, n_channels=1
-        )
+    n_channels, retry = LAYOUTS[layout]
+    engine = DesSimulationEngine(
+        system,
+        warmup_fraction=0.25,
+        n_channels=n_channels,
+        retry_model=(
+            ReadRetryModel(ReadRetryConfig(seed=2015)) if retry else None
+        ),
+    )
     return engine, trace
 
 
 def run_throughput(policy):
-    """Best-of-ROUNDS wall throughput per engine (fresh system each run)."""
+    """Best-of-ROUNDS wall throughput per layout (fresh system each run)."""
     best = {}
-    for kind in ("queue", "des"):
+    for layout in LAYOUTS:
         for _ in range(ROUNDS):
-            engine, trace = _build_engine(kind, policy)
+            engine, trace = _build_engine(layout, policy)
             result = engine.run(trace, WORKLOAD)
-            prev = best.get(kind)
+            prev = best.get(layout)
             if prev is None or result.wall_loop_s < prev.wall_loop_s:
-                best[kind] = result
+                best[layout] = result
     return best
 
 
@@ -95,17 +94,17 @@ def test_event_loop_throughput(benchmark, results_dir, shared_policy, bench_case
     best = benchmark.pedantic(
         run_throughput, args=(shared_policy,), rounds=1, iterations=1
     )
-    queue, des = best["queue"], best["des"]
+    des, single = best["des"], best["single"]
 
     lines = [
         f"{WORKLOAD}, {N_REQUESTS} requests, best of {ROUNDS} runs",
         "",
-        f"{'engine':8s} {'events':>9s} {'loop s':>8s} "
+        f"{'layout':8s} {'events':>9s} {'loop s':>8s} "
         f"{'events/s':>10s} {'requests/s':>11s}",
     ]
-    for kind, result in (("queue", queue), ("des", des)):
+    for layout, result in best.items():
         lines.append(
-            f"{kind:8s} {result.wall_events:9d} {result.wall_loop_s:8.3f} "
+            f"{layout:8s} {result.wall_events:9d} {result.wall_loop_s:8.3f} "
             f"{result.wall_events_per_s():10.0f} "
             f"{result.wall_requests_per_s():11.0f}"
         )
@@ -113,32 +112,32 @@ def test_event_loop_throughput(benchmark, results_dir, shared_policy, bench_case
 
     metrics = {
         # Wall-throughput floors (wide band, higher is better).
-        "queue_events_per_s": queue.wall_events_per_s(),
         "des_events_per_s": des.wall_events_per_s(),
         "des_requests_per_s": des.wall_requests_per_s(),
+        "single_events_per_s": single.wall_events_per_s(),
         # Determinism pins: simulated event counts depend only on the
         # seed and config, never on the machine.
-        "queue_events_total": float(queue.wall_events),
         "des_events_total": float(des.wall_events),
         "des_events_per_request": des.wall_events / des.wall_requests,
+        "single_events_total": float(single.wall_events),
     }
     specs = {
-        "queue_events_per_s": {
-            "direction": "higher", "tolerance": WALL_TOLERANCE,
-        },
         "des_events_per_s": {
             "direction": "higher", "tolerance": WALL_TOLERANCE,
         },
         "des_requests_per_s": {
             "direction": "higher", "tolerance": WALL_TOLERANCE,
         },
+        "single_events_per_s": {
+            "direction": "higher", "tolerance": WALL_TOLERANCE,
+        },
     }
     bench_case.emit(metrics, specs, table="event_loop_throughput")
 
-    # The loops actually ran and accounted their wall time.
-    assert queue.wall_events == N_REQUESTS
-    assert des.wall_requests == N_REQUESTS
-    # Every request produces at least an arrival event in the DES heap.
-    assert des.wall_events >= N_REQUESTS
-    assert queue.wall_loop_s > 0.0 and des.wall_loop_s > 0.0
-    assert des.wall_events_per_s() > 0.0
+    for result in best.values():
+        # The loop actually ran and accounted its wall time.
+        assert result.wall_requests == N_REQUESTS
+        # Every request produces at least an arrival event in the heap.
+        assert result.wall_events >= N_REQUESTS
+        assert result.wall_loop_s > 0.0
+        assert result.wall_events_per_s() > 0.0

@@ -16,7 +16,7 @@ from repro.baselines import (
     build_system,
 )
 from repro.core.level_adjust import CellMode
-from repro.sim.engine import SimulationEngine
+from repro.sim import DesSimulationEngine
 from repro.traces.workloads import make_workload
 
 N_REQUESTS = 4_000 if QUICK else 25_000
@@ -47,9 +47,10 @@ def _run_alternatives(shared_policy):
                 buffer_pages=config.buffer_pages,
             )
             system = builder(name, system_config, level_adjust=shared_policy)
-            result = SimulationEngine(system, warmup_fraction=0.25).run(
-                trace, workload_name
+            engine = DesSimulationEngine(
+                system, warmup_fraction=0.25, n_channels=1, retry_model=None
             )
+            result = engine.run(trace, workload_name)
             loss = 0.0
             if name == "flexlevel":
                 loss = (

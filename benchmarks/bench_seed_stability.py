@@ -10,7 +10,7 @@ from conftest import BENCH_SEED, BENCH_WORKLOADS, QUICK, write_table
 
 from repro.analysis.experiments import SystemExperimentConfig
 from repro.baselines import SystemConfig, build_system
-from repro.sim.engine import SimulationEngine
+from repro.sim import DesSimulationEngine
 from repro.traces.workloads import make_workload
 
 N_REQUESTS = 4_000 if QUICK else 20_000
@@ -34,9 +34,10 @@ def _run_seeds(shared_policy, seeds=_SEEDS):
                     buffer_pages=config.buffer_pages,
                 )
                 system = build_system(name, system_config, level_adjust=shared_policy)
-                result = SimulationEngine(system, warmup_fraction=0.25).run(
-                    trace, workload_name
+                engine = DesSimulationEngine(
+                    system, warmup_fraction=0.25, n_channels=1, retry_model=None
                 )
+                result = engine.run(trace, workload_name)
                 means[name] = result.mean_response_us()
             ratios.append(means["flexlevel"] / means["ldpc-in-ssd"])
         gains[seed] = 1.0 - float(np.mean(ratios))

@@ -14,7 +14,7 @@ from pathlib import Path
 from repro.baselines import SystemConfig, build_system
 from repro.core.level_adjust import LevelAdjustPolicy
 from repro.ftl import SsdConfig
-from repro.sim import SimulationEngine
+from repro.sim import DesSimulationEngine
 from repro.traces import SyntheticWorkload, read_trace_csv, write_trace_csv
 
 
@@ -49,9 +49,11 @@ def main() -> None:
             buffer_pages=512,
         )
         system = build_system(name, config, level_adjust=policy)
-        results[name] = SimulationEngine(system, warmup_fraction=0.25).run(
-            trace, workload.name
+        # One channel without read retry: the paper's single-queue model.
+        engine = DesSimulationEngine(
+            system, warmup_fraction=0.25, n_channels=1, retry_model=None
         )
+        results[name] = engine.run(trace, workload.name)
 
     ldpc, flex = results["ldpc-in-ssd"], results["flexlevel"]
     gain = 1.0 - flex.mean_response_us() / ldpc.mean_response_us()

@@ -5,7 +5,7 @@ import numpy as np
 from repro.baselines import SystemConfig, build_system, system_names
 from repro.core.level_adjust import LevelAdjustPolicy
 from repro.ftl import SsdConfig
-from repro.sim import SimulationEngine
+from repro.sim import DesSimulationEngine
 from repro.traces import make_workload, workload_names
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 40000
@@ -21,7 +21,10 @@ for wname in workload_names():
     for name in system_names():
         cfg = SystemConfig(ssd=ssd_cfg, footprint_pages=wl.footprint_pages, buffer_pages=512)
         sys_ = build_system(name, cfg, level_adjust=policy)
-        res = SimulationEngine(sys_, warmup_fraction=0.25).run(trace, wname)
+        engine = DesSimulationEngine(
+            sys_, warmup_fraction=0.25, n_channels=1, retry_model=None
+        )
+        res = engine.run(trace, wname)
         s = res.summary()
         means[name] = s['mean_response_us']
         extra[name] = (s['stats.write_amplification'], s['stats.erase_blocks'],

@@ -26,7 +26,7 @@ from repro.device.voltages import normal_mlc_plan, reduced_plan
 from repro.ecc.ldpc.latency import ReadLatencyModel
 from repro.ecc.ldpc.sensing import SensingLevelPolicy
 from repro.ftl.config import SsdConfig
-from repro.sim.engine import SimulationEngine
+from repro.sim.des import DesSimulationEngine
 from repro.traces.workloads import make_workload, workload_names
 
 __version__ = "1.0.0"
@@ -44,7 +44,7 @@ __all__ = [
     "ReadLatencyModel",
     "SensingLevelPolicy",
     "SsdConfig",
-    "SimulationEngine",
+    "DesSimulationEngine",
     "make_workload",
     "workload_names",
     "__version__",

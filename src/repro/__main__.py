@@ -80,7 +80,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _simulation_inputs(args: argparse.Namespace):
-    """The (ssd_config, workload, trace, n_channels) a run starts from."""
+    """The (ssd_config, workload, trace) a run starts from."""
     from repro.ftl import SsdConfig
     from repro.traces import make_workload
 
@@ -89,22 +89,65 @@ def _simulation_inputs(args: argparse.Namespace):
     )
     workload = make_workload(args.workload, ssd_config.logical_pages)
     trace = workload.generate(args.requests, seed=args.seed)
-    n_channels = args.channels
-    if n_channels is None:
-        n_channels = 4 if args.engine == "des" else 1
-    return ssd_config, workload, trace, n_channels
+    return ssd_config, workload, trace
 
 
-def _run_config(args: argparse.Namespace, n_channels: int) -> dict:
-    """The manifest's JSON-serialisable run configuration."""
+def _build_system(
+    args: argparse.Namespace, name: str, ssd_config, workload, fault_config,
+    policy=None,
+):
+    """One storage system, with a fresh fault injector when faults are on.
+
+    Every system of a run sees the same fault schedule, drawn from the
+    same seeded streams.  ``policy`` defaults to a private
+    LevelAdjustPolicy.
+    """
+    from repro.baselines import SystemConfig, build_system
+    from repro.core.level_adjust import LevelAdjustPolicy
+    from repro.faults import FaultInjector
+
+    return build_system(
+        name,
+        SystemConfig.for_run(
+            ssd_config, workload.footprint_pages, args.requests
+        ),
+        level_adjust=policy or LevelAdjustPolicy(),
+        fault_injector=(
+            FaultInjector(fault_config) if fault_config is not None else None
+        ),
+    )
+
+
+def _engine(args: argparse.Namespace, system, **observers):
+    """The run's engine: warmup, channels and read retry from ``args``.
+
+    ``observers`` (registry, tracer, recorder, channel_telemetry) are
+    attached as given.
+    """
+    from repro.sim import DesSimulationEngine, ReadRetryModel
+
+    return DesSimulationEngine(
+        system,
+        warmup_fraction=args.warmup_fraction,
+        n_channels=args.channels,
+        retry_model=None if args.no_retry else ReadRetryModel(),
+        **observers,
+    )
+
+
+def _run_config(args: argparse.Namespace) -> dict:
+    """The manifest's JSON-serialisable run configuration.
+
+    ``engine`` is a constant: it keeps every recorded config hash.
+    """
     return {
         "workload": args.workload,
         "requests": args.requests,
         "blocks": args.blocks,
         "pe": args.pe,
         "seed": args.seed,
-        "engine": args.engine,
-        "channels": n_channels,
+        "engine": "des",
+        "channels": args.channels,
         "retry": not args.no_retry,
     }
 
@@ -122,26 +165,28 @@ def _fault_config(args: argparse.Namespace):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
-    from repro.baselines import SystemConfig, build_system, system_names
+    from repro.baselines import SystemConfig, system_names
     from repro.core.level_adjust import LevelAdjustPolicy
     from repro.obs import ManifestBuilder, MetricsRegistry
-    from repro.sim import DesSimulationEngine, ReadRetryModel, SimulationEngine
+    from repro.sim import run_with_crashes
     from repro.traces import workload_names
 
     if args.workload not in workload_names():
         print(f"unknown workload {args.workload!r}; choose from {workload_names()}")
         return 2
-    ssd_config, workload, trace, n_channels = _simulation_inputs(args)
+    ssd_config, workload, trace = _simulation_inputs(args)
+    # One policy shared by the four systems (its BER cache counters
+    # land in every system's stats).
     policy = LevelAdjustPolicy()
     fault_config = _fault_config(args)
     power = None
-    if args.spo_rate > 0.0:
+    if args.spo_rate != 0.0:
         from repro.faults import PowerConfig
 
         power = PowerConfig(
             enabled=True, seed=args.spo_seed, rate_per_s=args.spo_rate
         )
-    run_config = _run_config(args, n_channels)
+    run_config = _run_config(args)
     if power is not None:
         run_config["spo"] = power.to_dict()
     builder = ManifestBuilder.begin(
@@ -153,63 +198,41 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     json_rows = []
     manifest_metrics: dict[str, float] = {}
     for name in system_names():
-        config = SystemConfig(
-            ssd=ssd_config,
-            footprint_pages=workload.footprint_pages,
-            buffer_pages=512,
-            # Scale the hotness window down for short runs so AccessEval
-            # can warm up within the trace.
-            hotness_window=max(64, min(4096, args.requests // 8)),
-        )
-        # A fresh injector per system: each system's run sees the same
-        # fault schedule, drawn from the same seeded streams.
-        injector = None
-        if fault_config is not None:
-            from repro.faults import FaultInjector
-
-            injector = FaultInjector(fault_config)
         registry = MetricsRegistry() if args.json else None
         crash_run = None
         if power is not None:
-            from repro.sim import run_with_crashes
-
             crash_run = run_with_crashes(
                 name,
-                config,
+                SystemConfig.for_run(
+                    ssd_config, workload.footprint_pages, args.requests
+                ),
                 trace,
                 power,
-                engine=args.engine,
                 fault_config=fault_config,
-                warmup_fraction=0.25,
-                n_channels=n_channels,
+                warmup_fraction=args.warmup_fraction,
+                n_channels=args.channels,
+                retry=not args.no_retry,
                 workload_name=args.workload,
                 registry=registry,
             )
             system = crash_run.final_system
             result = crash_run.final
         else:
-            system = build_system(
-                name, config, level_adjust=policy, fault_injector=injector
+            system = _build_system(
+                args, name, ssd_config, workload, fault_config, policy
             )
-            if args.engine == "des":
-                engine = DesSimulationEngine(
-                    system,
-                    warmup_fraction=0.25,
-                    n_channels=n_channels,
-                    retry_model=None if args.no_retry else ReadRetryModel(),
-                    registry=registry,
-                )
-            else:
-                engine = SimulationEngine(
-                    system,
-                    warmup_fraction=0.25,
-                    n_channels=n_channels,
-                    registry=registry,
-                )
-            result = engine.run(trace, args.workload)
+            result = _engine(args, system, registry=registry).run(
+                trace, args.workload
+            )
+        percentiles = result.percentiles()
+        utilization = result.channel_utilization()
         row = [
             name,
             result.mean_response_us(),
+            percentiles["p50_response_us"],
+            percentiles["p95_response_us"],
+            percentiles["p99_response_us"],
+            sum(utilization) / len(utilization),
             result.stats["mean_extra_levels"],
             result.stats["write_amplification"],
             int(result.stats["erase_blocks"]),
@@ -219,18 +242,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 crash_run.crashes,
                 sum(r.recovery_time_us for r in crash_run.reports),
             ]
-        if args.engine == "des":
-            percentiles = result.percentiles()
-            utilization = result.channel_utilization()
-            row[2:2] = [
-                percentiles["p50_response_us"],
-                percentiles["p95_response_us"],
-                percentiles["p99_response_us"],
-                sum(utilization) / len(utilization),
-            ]
         if fault_config is not None:
             row += [
-                result.uncorrectable_reads if args.engine == "des" else 0,
+                result.uncorrectable_reads,
                 int(system.ssd.stats.blocks_retired),
                 "yes" if system.ssd.read_only else "no",
             ]
@@ -254,16 +268,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         manifest = builder.finish(
             metrics=manifest_metrics, systems=[r["system"] for r in json_rows]
         )
+        # The "des" name part and "engine" key are constants that keep
+        # the output paths and JSON layout unchanged.
         manifest_path = manifest.write(
-            Path(args.out_dir)
-            / f"manifest_simulate_{args.workload}_{args.engine}.json"
+            Path(args.out_dir) / f"manifest_simulate_{args.workload}_des.json"
         )
         print(
             json.dumps(
                 {
                     "workload": args.workload,
-                    "engine": args.engine,
-                    "n_channels": n_channels,
+                    "engine": "des",
+                    "n_channels": args.channels,
                     "rows": json_rows,
                     "manifest": str(manifest_path),
                 },
@@ -271,10 +286,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    headers = ["system", "mean response (us)"]
-    if args.engine == "des":
-        headers += ["p50", "p95", "p99", "mean util"]
-    headers += ["extra levels", "WA", "erases"]
+    headers = [
+        "system", "mean response (us)", "p50", "p95", "p99", "mean util",
+        "extra levels", "WA", "erases",
+    ]
     if power is not None:
         headers += ["crashes", "recovery us"]
     if fault_config is not None:
@@ -286,8 +301,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _crash_text(body: dict) -> str:
     """Human-readable summary of one ``repro/crash-run/v1`` artifact."""
     lines = [
-        f"crash drill: {body['workload']} on {body['system']} "
-        f"({body['engine']} engine), {body['crashes']} crash(es), "
+        f"crash drill: {body['workload']} on {body['system']}, "
+        f"{body['crashes']} crash(es), "
         f"fingerprint {body['fingerprint']}"
     ]
     for i, cycle in enumerate(body["cycles"]):
@@ -329,11 +344,11 @@ def _cmd_crash(args: argparse.Namespace) -> int:
     if args.system not in system_names():
         print(f"unknown system {args.system!r}; choose from {system_names()}")
         return 2
-    if args.at_us is None and args.spo_rate <= 0.0:
+    if args.at_us is None and args.spo_rate == 0.0:
         print("error: need --at-us or --spo-rate to schedule a power cut",
               file=sys.stderr)
         return 2
-    ssd_config, workload, trace, n_channels = _simulation_inputs(args)
+    ssd_config, workload, trace = _simulation_inputs(args)
     power = PowerConfig(
         enabled=True,
         seed=args.spo_seed,
@@ -345,13 +360,7 @@ def _cmd_crash(args: argparse.Namespace) -> int:
         checkpoint_interval_us=args.checkpoint_interval_us
     )
     fault_config = _fault_config(args)
-    config = SystemConfig(
-        ssd=ssd_config,
-        footprint_pages=workload.footprint_pages,
-        buffer_pages=512,
-        hotness_window=max(64, min(4096, args.requests // 8)),
-    )
-    run_config = _run_config(args, n_channels)
+    run_config = _run_config(args)
     run_config.update(
         {
             "system": args.system,
@@ -366,14 +375,17 @@ def _cmd_crash(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     run = run_with_crashes(
         args.system,
-        config,
+        SystemConfig.for_run(
+            ssd_config, workload.footprint_pages, args.requests
+        ),
         trace,
         power,
         recovery=recovery,
-        engine=args.engine,
         fault_config=fault_config,
         resume=args.resume,
-        n_channels=n_channels,
+        warmup_fraction=args.warmup_fraction,
+        n_channels=args.channels,
+        retry=not args.no_retry,
         workload_name=args.workload,
         registry=registry,
     )
@@ -398,10 +410,8 @@ def _cmd_crash(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.baselines import SystemConfig, build_system, system_names
-    from repro.core.level_adjust import LevelAdjustPolicy
+    from repro.baselines import system_names
     from repro.obs import ManifestBuilder, MetricsRegistry, Tracer
-    from repro.sim import DesSimulationEngine, ReadRetryModel, SimulationEngine
     from repro.traces import workload_names
 
     if args.workload not in workload_names():
@@ -410,47 +420,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.system not in system_names():
         print(f"unknown system {args.system!r}; choose from {system_names()}")
         return 2
-    ssd_config, workload, trace, n_channels = _simulation_inputs(args)
-    config = SystemConfig(
-        ssd=ssd_config,
-        footprint_pages=workload.footprint_pages,
-        buffer_pages=512,
-        hotness_window=max(64, min(4096, args.requests // 8)),
-    )
+    ssd_config, workload, trace = _simulation_inputs(args)
     fault_config = _fault_config(args)
-    injector = None
-    if fault_config is not None:
-        from repro.faults import FaultInjector
-
-        injector = FaultInjector(fault_config)
-    system = build_system(
-        args.system,
-        config,
-        level_adjust=LevelAdjustPolicy(),
-        fault_injector=injector,
+    system = _build_system(
+        args, args.system, ssd_config, workload, fault_config
     )
     tracer = Tracer(
         sample_every=args.sample_every, keep_slowest=args.keep_slowest
     )
     registry = MetricsRegistry()
-    if args.engine == "des":
-        engine = DesSimulationEngine(
-            system,
-            warmup_fraction=0.25,
-            n_channels=n_channels,
-            retry_model=None if args.no_retry else ReadRetryModel(),
-            registry=registry,
-            tracer=tracer,
-        )
-    else:
-        engine = SimulationEngine(
-            system,
-            warmup_fraction=0.25,
-            n_channels=n_channels,
-            registry=registry,
-            tracer=tracer,
-        )
-    run_config = _run_config(args, n_channels)
+    engine = _engine(args, system, registry=registry, tracer=tracer)
+    run_config = _run_config(args)
     run_config["system"] = args.system
     builder = ManifestBuilder.begin("repro trace", run_config, seed=args.seed)
     if fault_config is not None:
@@ -505,7 +485,7 @@ def _blame_markdown(artifact: dict) -> str:
     bands = list(report["bands"])
     lines = [
         f"# Latency attribution — {artifact['system']} on "
-        f"{artifact['workload']} ({artifact['engine']} engine)",
+        f"{artifact['workload']} ({artifact['n_channels']} channels)",
         "",
         f"{report['n_requests']} attributed requests, "
         f"{report['total_us']:.1f} us total latency, "
@@ -540,8 +520,7 @@ def _blame_markdown(artifact: dict) -> str:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.baselines import SystemConfig, build_system, system_names
-    from repro.core.level_adjust import LevelAdjustPolicy
+    from repro.baselines import system_names
     from repro.obs import (
         AttributionReport,
         ManifestBuilder,
@@ -550,7 +529,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         WindowedRecorder,
         diff_reports,
     )
-    from repro.sim import DesSimulationEngine, ReadRetryModel, SimulationEngine
     from repro.traces import workload_names
 
     if args.workload not in workload_names():
@@ -563,56 +541,25 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.vs == args.system:
         print(f"--vs {args.vs!r} must name a different system")
         return 2
-    ssd_config, workload, trace, n_channels = _simulation_inputs(args)
+    ssd_config, workload, trace = _simulation_inputs(args)
     fault_config = _fault_config(args)
 
     def run_one(system_name: str):
-        config = SystemConfig(
-            ssd=ssd_config,
-            footprint_pages=workload.footprint_pages,
-            buffer_pages=512,
-            hotness_window=max(64, min(4096, args.requests // 8)),
-        )
-        injector = None
-        if fault_config is not None:
-            from repro.faults import FaultInjector
-
-            injector = FaultInjector(fault_config)
-        system = build_system(
-            system_name,
-            config,
-            level_adjust=LevelAdjustPolicy(),
-            fault_injector=injector,
+        system = _build_system(
+            args, system_name, ssd_config, workload, fault_config
         )
         tracer = Tracer(
             sample_every=args.sample_every, keep_slowest=args.keep_slowest
         )
         registry = MetricsRegistry()
         recorder = WindowedRecorder(window_us=args.window_us)
-        if args.engine == "des":
-            engine = DesSimulationEngine(
-                system,
-                warmup_fraction=0.25,
-                n_channels=n_channels,
-                retry_model=None if args.no_retry else ReadRetryModel(),
-                registry=registry,
-                tracer=tracer,
-                recorder=recorder,
-            )
-        else:
-            engine = SimulationEngine(
-                system,
-                warmup_fraction=0.25,
-                n_channels=n_channels,
-                registry=registry,
-                tracer=tracer,
-                recorder=recorder,
-            )
-        engine.run(trace, args.workload)
+        _engine(
+            args, system, registry=registry, tracer=tracer, recorder=recorder
+        ).run(trace, args.workload)
         report = AttributionReport.from_spans(tracer.spans)
         return tracer, registry, recorder, report
 
-    run_config = _run_config(args, n_channels)
+    run_config = _run_config(args)
     run_config.update(
         {"system": args.system, "vs": args.vs, "window_us": args.window_us}
     )
@@ -626,8 +573,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     artifact = {
         "workload": args.workload,
         "system": args.system,
-        "engine": args.engine,
-        "n_channels": n_channels,
+        "engine": "des",
+        "n_channels": args.channels,
         "window_us": args.window_us,
         "report": report.to_dict(include_requests=args.include_requests),
         "windows": recorder.to_dict(),
@@ -683,8 +630,7 @@ def _channel_markdown(artifact: dict) -> str:
         f"# read-channel telemetry: {artifact['system']} "
         f"on {artifact['workload']}",
         "",
-        f"- engine: {artifact['engine']} "
-        f"({artifact['n_channels']} channels)",
+        f"- channels: {artifact['n_channels']}",
         f"- fingerprint: `{payload['fingerprint']}`",
         f"- flash reads: {totals['reads']}  "
         f"sensing escalations: {totals['sensing_escalations']}  "
@@ -736,8 +682,7 @@ def _channel_text(artifact: dict, metric: str, width: int) -> str:
     totals = payload["totals"]
     lines = [
         f"read-channel telemetry: {artifact['system']} on "
-        f"{artifact['workload']} ({artifact['engine']}, "
-        f"{artifact['n_channels']} channels)",
+        f"{artifact['workload']} ({artifact['n_channels']} channels)",
         f"fingerprint {payload['fingerprint']}  reads {totals['reads']}  "
         f"escalations {totals['sensing_escalations']}  "
         f"uncorrectable {totals['uncorrectable']}  "
@@ -765,8 +710,7 @@ def _channel_text(artifact: dict, metric: str, width: int) -> str:
 
 
 def _cmd_channel(args: argparse.Namespace) -> int:
-    from repro.baselines import SystemConfig, build_system, system_names
-    from repro.core.level_adjust import LevelAdjustPolicy
+    from repro.baselines import system_names
     from repro.obs import (
         ChannelTelemetry,
         ManifestBuilder,
@@ -774,7 +718,6 @@ def _cmd_channel(args: argparse.Namespace) -> int:
         WindowedRecorder,
         diff_channel_artifacts,
     )
-    from repro.sim import DesSimulationEngine, ReadRetryModel, SimulationEngine
     from repro.traces import workload_names
 
     if args.workload not in workload_names():
@@ -787,26 +730,12 @@ def _cmd_channel(args: argparse.Namespace) -> int:
     if args.vs == args.system:
         print(f"--vs {args.vs!r} must name a different system")
         return 2
-    ssd_config, workload, trace, n_channels = _simulation_inputs(args)
+    ssd_config, workload, trace = _simulation_inputs(args)
     fault_config = _fault_config(args)
 
     def run_one(system_name: str):
-        config = SystemConfig(
-            ssd=ssd_config,
-            footprint_pages=workload.footprint_pages,
-            buffer_pages=512,
-            hotness_window=max(64, min(4096, args.requests // 8)),
-        )
-        injector = None
-        if fault_config is not None:
-            from repro.faults import FaultInjector
-
-            injector = FaultInjector(fault_config)
-        system = build_system(
-            system_name,
-            config,
-            level_adjust=LevelAdjustPolicy(),
-            fault_injector=injector,
+        system = _build_system(
+            args, system_name, ssd_config, workload, fault_config
         )
         registry = MetricsRegistry()
         recorder = WindowedRecorder(window_us=args.window_us)
@@ -816,29 +745,16 @@ def _cmd_channel(args: argparse.Namespace) -> int:
             seed=args.seed,
             trajectory_cap=args.trajectories,
         )
-        if args.engine == "des":
-            engine = DesSimulationEngine(
-                system,
-                warmup_fraction=0.25,
-                n_channels=n_channels,
-                retry_model=None if args.no_retry else ReadRetryModel(),
-                registry=registry,
-                recorder=recorder,
-                channel_telemetry=telemetry,
-            )
-        else:
-            engine = SimulationEngine(
-                system,
-                warmup_fraction=0.25,
-                n_channels=n_channels,
-                registry=registry,
-                recorder=recorder,
-                channel_telemetry=telemetry,
-            )
-        engine.run(trace, args.workload)
+        _engine(
+            args,
+            system,
+            registry=registry,
+            recorder=recorder,
+            channel_telemetry=telemetry,
+        ).run(trace, args.workload)
         return telemetry, registry
 
-    run_config = _run_config(args, n_channels)
+    run_config = _run_config(args)
     run_config.update({"system": args.system, "vs": args.vs})
     builder = ManifestBuilder.begin("repro channel", run_config, seed=args.seed)
     if fault_config is not None:
@@ -850,8 +766,8 @@ def _cmd_channel(args: argparse.Namespace) -> int:
     artifact = {
         "workload": args.workload,
         "system": args.system,
-        "engine": args.engine,
-        "n_channels": n_channels,
+        "engine": "des",
+        "n_channels": args.channels,
         "fingerprint": payload["fingerprint"],
         "channel": payload,
     }
@@ -910,13 +826,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ssd_config = SsdConfig(
         n_blocks=args.blocks, pages_per_block=64, initial_pe_cycles=args.pe
     )
-    config = SystemConfig(
-        ssd=ssd_config,
-        # Tenants spread their private hot sets across the whole
-        # logical space, so the footprint is the full drive.
-        footprint_pages=ssd_config.logical_pages,
-        buffer_pages=512,
-        hotness_window=max(64, min(4096, args.requests // 8)),
+    # Tenants spread their private hot sets across the whole logical
+    # space, so the footprint is the full drive.
+    config = SystemConfig.for_run(
+        ssd_config, ssd_config.logical_pages, args.requests
     )
     system = build_system(args.system, config)
     registry = MetricsRegistry()
@@ -998,7 +911,7 @@ def _monitor_text(artifact: dict) -> str:
     body = artifact["monitor"]
     lines = [
         f"monitor {artifact['workload']} on {artifact['system']} "
-        f"({artifact['engine']} engine, {artifact['requests']} requests, "
+        f"({artifact['n_channels']} channels, {artifact['requests']} requests, "
         f"seed {artifact['seed']})",
         f"windows closed: {body['windows_closed']} "
         f"(window {body['window_us']:g} us), alerts: {body['n_alerts']}, "
@@ -1023,8 +936,7 @@ def _monitor_text(artifact: dict) -> str:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from repro.baselines import SystemConfig, build_system, system_names
-    from repro.core.level_adjust import LevelAdjustPolicy
+    from repro.baselines import system_names
     from repro.obs import (
         ManifestBuilder,
         MetricsRegistry,
@@ -1039,7 +951,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         parse_rule,
         write_prometheus,
     )
-    from repro.sim import DesSimulationEngine, ReadRetryModel, SimulationEngine
     from repro.traces import workload_names
 
     if args.workload not in workload_names():
@@ -1048,28 +959,15 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     if args.system not in system_names():
         print(f"unknown system {args.system!r}; choose from {system_names()}")
         return 2
-    ssd_config, workload, trace, n_channels = _simulation_inputs(args)
+    ssd_config, workload, trace = _simulation_inputs(args)
     fault_config = _fault_config(args)
-    config = SystemConfig(
-        ssd=ssd_config,
-        footprint_pages=workload.footprint_pages,
-        buffer_pages=512,
-        hotness_window=max(64, min(4096, args.requests // 8)),
-    )
-    injector = None
-    if fault_config is not None:
-        from repro.faults import FaultInjector
-
-        injector = FaultInjector(fault_config)
-    system = build_system(
-        args.system,
-        config,
-        level_adjust=LevelAdjustPolicy(),
-        fault_injector=injector,
+    system = _build_system(
+        args, args.system, ssd_config, workload, fault_config
     )
     # Every request is traced (sample_every=1) and there is no warmup
-    # exclusion: a monitor wants blame tables for *any* window an alert
-    # lands in, including early ones.
+    # exclusion (the parser's warmup_fraction default is 0): a monitor
+    # wants blame tables for *any* window an alert lands in, including
+    # early ones.
     tracer = Tracer(sample_every=args.sample_every, keep_slowest=0)
     registry = MetricsRegistry()
     recorder = WindowedRecorder(window_us=args.window_us)
@@ -1086,26 +984,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     if args.status:
         status = TtyStatusView(sys.stderr)
         monitor.add_observer(status)
-    if args.engine == "des":
-        engine = DesSimulationEngine(
-            system,
-            warmup_fraction=0.0,
-            n_channels=n_channels,
-            retry_model=None if args.no_retry else ReadRetryModel(),
-            registry=registry,
-            tracer=tracer,
-            recorder=recorder,
-        )
-    else:
-        engine = SimulationEngine(
-            system,
-            warmup_fraction=0.0,
-            n_channels=n_channels,
-            registry=registry,
-            tracer=tracer,
-            recorder=recorder,
-        )
-    run_config = _run_config(args, n_channels)
+    engine = _engine(
+        args, system, registry=registry, tracer=tracer, recorder=recorder
+    )
+    run_config = _run_config(args)
     run_config.update(
         {
             "system": args.system,
@@ -1123,14 +1005,14 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         status.finish()
     # The artifact is virtual-time-only (the monitor never sees wall
     # clock), so fixed seed/config reproduce it byte for byte; the
-    # fingerprint covers the monitor body under the PR 7 convention.
+    # fingerprint covers the monitor body.
     body = monitor.to_dict()
     body["fingerprint"] = monitor_fingerprint(body)
     artifact = {
         "workload": args.workload,
         "system": args.system,
-        "engine": args.engine,
-        "n_channels": n_channels,
+        "engine": "des",
+        "n_channels": args.channels,
         "requests": args.requests,
         "seed": args.seed,
         "monitor": body,
@@ -1167,11 +1049,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics_ls(args: argparse.Namespace) -> int:
-    from repro.baselines import SystemConfig, build_system, system_names
-    from repro.core.level_adjust import LevelAdjustPolicy
+    from repro.baselines import system_names
     from repro.obs import ChannelTelemetry, MetricsRegistry, WindowedRecorder
     from repro.obs.monitor import HealthMonitor, metric_kind
-    from repro.sim import DesSimulationEngine, ReadRetryModel, SimulationEngine
     from repro.traces import workload_names
 
     if args.workload not in workload_names():
@@ -1180,24 +1060,9 @@ def _cmd_metrics_ls(args: argparse.Namespace) -> int:
     if args.system not in system_names():
         print(f"unknown system {args.system!r}; choose from {system_names()}")
         return 2
-    ssd_config, workload, trace, n_channels = _simulation_inputs(args)
-    fault_config = _fault_config(args)
-    config = SystemConfig(
-        ssd=ssd_config,
-        footprint_pages=workload.footprint_pages,
-        buffer_pages=512,
-        hotness_window=max(64, min(4096, args.requests // 8)),
-    )
-    injector = None
-    if fault_config is not None:
-        from repro.faults import FaultInjector
-
-        injector = FaultInjector(fault_config)
-    system = build_system(
-        args.system,
-        config,
-        level_adjust=LevelAdjustPolicy(),
-        fault_injector=injector,
+    ssd_config, workload, trace = _simulation_inputs(args)
+    system = _build_system(
+        args, args.system, ssd_config, workload, _fault_config(args)
     )
     registry = MetricsRegistry()
     recorder = WindowedRecorder(window_us=args.window_us)
@@ -1211,26 +1076,13 @@ def _cmd_metrics_ls(args: argparse.Namespace) -> int:
         page_bits=ssd_config.page_size_bytes * 8,
         seed=args.seed,
     )
-    if args.engine == "des":
-        engine = DesSimulationEngine(
-            system,
-            warmup_fraction=0.25,
-            n_channels=n_channels,
-            retry_model=None if args.no_retry else ReadRetryModel(),
-            registry=registry,
-            recorder=recorder,
-            channel_telemetry=telemetry,
-        )
-    else:
-        engine = SimulationEngine(
-            system,
-            warmup_fraction=0.25,
-            n_channels=n_channels,
-            registry=registry,
-            recorder=recorder,
-            channel_telemetry=telemetry,
-        )
-    engine.run(trace, args.workload)
+    _engine(
+        args,
+        system,
+        registry=registry,
+        recorder=recorder,
+        channel_telemetry=telemetry,
+    ).run(trace, args.workload)
     instruments = [
         {"name": name, "kind": metric_kind(instrument)}
         for name, instrument in registry.instruments()
@@ -1245,7 +1097,7 @@ def _cmd_metrics_ls(args: argparse.Namespace) -> int:
                 {
                     "workload": args.workload,
                     "system": args.system,
-                    "engine": args.engine,
+                    "engine": "des",
                     "metrics": instruments,
                     "windowed_series": series,
                 },
@@ -1272,7 +1124,7 @@ def _profile_text(artifact: dict) -> list[str]:
     loop = wall["loop"]
     lines = [
         f"profile [{artifact['mode']}] {artifact['workload']} on "
-        f"{artifact['system']} ({artifact['engine']} engine, "
+        f"{artifact['system']} ({artifact['n_channels']} channels, "
         f"{artifact['requests']} requests, seed {artifact['seed']})",
         f"loop: {loop['wall_s']:.3f} s wall, {loop['events']} events "
         f"({loop['events_per_s']:.0f}/s), "
@@ -1339,9 +1191,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import ManifestBuilder, MetricsRegistry
     from repro.obs.profile import profile_fingerprint, profile_workload
 
-    n_channels = args.channels
-    if n_channels is None:
-        n_channels = 4 if args.engine == "des" else 1
     run_config = {
         "workload": args.target,
         "system": args.system,
@@ -1350,8 +1199,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "blocks": args.blocks,
         "pe": args.pe,
         "seed": args.seed,
-        "engine": args.engine,
-        "channels": n_channels,
+        "engine": "des",
+        "channels": args.channels,
         "retry": not args.no_retry,
     }
     builder = ManifestBuilder.begin("repro profile", run_config, seed=args.seed)
@@ -1359,7 +1208,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     artifact = profile_workload(
         args.target,
         mode=args.mode,
-        engine=args.engine,
         system=args.system,
         requests=args.requests,
         blocks=args.blocks,
@@ -1408,7 +1256,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    """The simulation-scale arguments shared by simulate and trace."""
+    """The simulation-scale arguments every trace-replay command shares.
+
+    Leading requests replay unrecorded (warmup) unless a command sets
+    its own ``warmup_fraction`` default.
+    """
+    parser.set_defaults(warmup_fraction=0.25)
     parser.add_argument("workload", nargs="?", default="fin-2")
     parser.add_argument("--requests", type=int, default=30_000)
     parser.add_argument("--blocks", type=int, default=256)
@@ -1417,13 +1270,14 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--channels",
         type=int,
-        default=None,
-        help="flash channels (default: 1 for queue, 4 for des)",
+        default=4,
+        help="flash channels (default: 4; --channels 1 --no-retry is the "
+        "single FIFO queue of the paper's Fig. 6/7 drivers)",
     )
     parser.add_argument(
         "--no-retry",
         action="store_true",
-        help="disable the DES read-retry model",
+        help="disable the read-retry model",
     )
     parser.add_argument(
         "--faults",
@@ -1467,13 +1321,6 @@ def main(argv: list[str] | None = None) -> int:
     simulate = commands.add_parser("simulate", help="compare the four systems")
     _add_run_arguments(simulate)
     simulate.add_argument(
-        "--engine",
-        choices=("queue", "des"),
-        default="queue",
-        help="queue: legacy single-queue model; des: discrete-event "
-        "multi-channel model with read retry and percentile metrics",
-    )
-    simulate.add_argument(
         "--json",
         action="store_true",
         help="emit machine-readable per-system summaries plus a run "
@@ -1505,16 +1352,13 @@ def main(argv: list[str] | None = None) -> int:
         help="sudden-power-off drill: cut, remount, verify, resume",
     )
     _add_run_arguments(crash)
+    # Every leg's responses count: the drill compares legs, not a
+    # steady state.
+    crash.set_defaults(warmup_fraction=0.0)
     crash.add_argument(
         "--system",
         default="flexlevel",
         help="storage system to crash (default: flexlevel)",
-    )
-    crash.add_argument(
-        "--engine",
-        choices=("queue", "des"),
-        default="queue",
-        help="simulation engine driving each leg (default: queue)",
     )
     crash.add_argument(
         "--at-us",
@@ -1577,13 +1421,6 @@ def main(argv: list[str] | None = None) -> int:
         help="storage system to trace (default: flexlevel)",
     )
     trace.add_argument(
-        "--engine",
-        choices=("queue", "des"),
-        default="des",
-        help="des exposes per-sensing-round spans; queue only "
-        "queue-wait/service",
-    )
-    trace.add_argument(
         "--sample-every",
         type=int,
         default=100,
@@ -1617,13 +1454,6 @@ def main(argv: list[str] | None = None) -> int:
         "--system",
         default="flexlevel",
         help="storage system to explain (default: flexlevel)",
-    )
-    explain.add_argument(
-        "--engine",
-        choices=("queue", "des"),
-        default="des",
-        help="des decomposes sensing rounds and channels; queue only "
-        "queue-wait/GC-stall/service",
     )
     explain.add_argument(
         "--vs",
@@ -1688,13 +1518,6 @@ def main(argv: list[str] | None = None) -> int:
         "--system",
         default="flexlevel",
         help="storage system to instrument (default: flexlevel)",
-    )
-    channel.add_argument(
-        "--engine",
-        choices=("queue", "des"),
-        default="des",
-        help="des exercises the retry ladder per channel; queue has no "
-        "retry model (single channel, zero escalations)",
     )
     channel.add_argument(
         "--vs",
@@ -1881,12 +1704,7 @@ def main(argv: list[str] | None = None) -> int:
         default="flexlevel",
         help="storage system to monitor (default: flexlevel)",
     )
-    monitor.add_argument(
-        "--engine",
-        choices=("queue", "des"),
-        default="des",
-        help="simulation engine driving the run (default: des)",
-    )
+    monitor.set_defaults(warmup_fraction=0.0)
     monitor.add_argument(
         "--window-us",
         type=float,
@@ -1975,12 +1793,6 @@ def main(argv: list[str] | None = None) -> int:
         help="storage system to run (default: flexlevel)",
     )
     metrics_ls.add_argument(
-        "--engine",
-        choices=("queue", "des"),
-        default="des",
-        help="simulation engine (namespaces differ; default: des)",
-    )
-    metrics_ls.add_argument(
         "--window-us",
         type=float,
         default=1000.0,
@@ -2013,12 +1825,6 @@ def main(argv: list[str] | None = None) -> int:
         "allocation sites",
     )
     profile.add_argument(
-        "--engine",
-        choices=("queue", "des"),
-        default="des",
-        help="simulation engine to profile (default: des)",
-    )
-    profile.add_argument(
         "--system",
         default="flexlevel",
         help="storage system to replay (default: flexlevel)",
@@ -2028,15 +1834,12 @@ def main(argv: list[str] | None = None) -> int:
     profile.add_argument("--pe", type=float, default=6000.0)
     profile.add_argument("--seed", type=int, default=1)
     profile.add_argument(
-        "--channels",
-        type=int,
-        default=None,
-        help="flash channels (default: 1 for queue, 4 for des)",
+        "--channels", type=int, default=4, help="flash channels (default: 4)"
     )
     profile.add_argument(
         "--no-retry",
         action="store_true",
-        help="disable the DES read-retry model",
+        help="disable the read-retry model",
     )
     profile.add_argument(
         "--hz",

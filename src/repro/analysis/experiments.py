@@ -21,7 +21,7 @@ from repro.device.voltages import normal_mlc_plan, reduced_plan
 from repro.ecc.ldpc.sensing import SensingLevelPolicy
 from repro.ftl.config import SsdConfig
 from repro.ftl.lifetime import lifetime_ratio
-from repro.sim.engine import SimulationEngine
+from repro.sim.des import DesSimulationEngine
 from repro.traces.workloads import make_workload, workload_names
 from repro.units import DAY, MONTH, WEEK
 
@@ -159,7 +159,15 @@ def run_workload_matrix(
                 buffer_pages=config.buffer_pages,
             )
             system = build_system(system_name, system_config, level_adjust=policy)
-            engine = SimulationEngine(system, warmup_fraction=config.warmup_fraction)
+            # One channel, no read retry: the single FIFO queue whose
+            # per-request queueing turns read-latency differences into
+            # the paper's response-time gaps.
+            engine = DesSimulationEngine(
+                system,
+                warmup_fraction=config.warmup_fraction,
+                n_channels=1,
+                retry_model=None,
+            )
             result = engine.run(trace, workload_name)
             runs.append(
                 SystemRun(

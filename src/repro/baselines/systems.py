@@ -91,6 +91,22 @@ class SystemConfig:
         if not 0.0 <= self.reduced_pool_fraction <= 1.0:
             raise ConfigurationError("reduced pool fraction outside [0, 1]")
 
+    @classmethod
+    def for_run(
+        cls, ssd: SsdConfig, footprint_pages: int, n_requests: int
+    ) -> "SystemConfig":
+        """The configuration a command-line run of ``n_requests`` uses.
+
+        A 512-page write buffer, and a hotness window scaled down for
+        short runs so AccessEval can warm up within the trace.
+        """
+        return cls(
+            ssd=ssd,
+            footprint_pages=footprint_pages,
+            buffer_pages=512,
+            hotness_window=max(64, min(4096, n_requests // 8)),
+        )
+
     def initial_ages(self) -> np.ndarray:
         """Sampled initial data ages for the whole prefilled drive."""
         rng = np.random.default_rng(self.age_seed)
@@ -107,7 +123,7 @@ class SystemConfig:
 class ReadServiceBreakdown:
     """Per-read sensing-round decomposition of a host read's service.
 
-    The legacy queue engine only needs the scalar sum
+    A retry-free caller only needs the scalar sum
     (:attr:`service_us`); the discrete-event simulator uses the rounds:
     the first round is the read at the sensing precision the system
     *provisioned* (tracked levels, or the worst case for the baseline),
@@ -163,7 +179,7 @@ class ReadServiceBreakdown:
 
     @property
     def service_us(self) -> float:
-        """Retry-free service time (the legacy engine's scalar)."""
+        """Retry-free service time (one sensing round plus post-read work)."""
         return self.first_round_us + self.post_read_us
 
 

@@ -290,8 +290,10 @@ class RecoveryReport:
 def recovery_fingerprint(artifact: dict) -> str:
     """Deterministic 16-hex-digit fingerprint of a recovery artifact.
 
-    Same convention as ``monitor_fingerprint``: hash the sorted-JSON
-    body with any existing ``fingerprint`` key removed.  The artifact
+    Like :func:`repro.obs.manifest.fingerprint` — the sorted-JSON body
+    with any existing ``fingerprint`` key removed — but with compact
+    separators, which every recorded crash and recovery fingerprint
+    depends on.  The artifact
     holds only virtual-time quantities, so a fixed (seed, config,
     crash point) reproduces it byte for byte on any machine.
     """

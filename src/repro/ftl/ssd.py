@@ -117,13 +117,13 @@ class Ssd:
             )
         self.config = config
         self.stats = SsdStats()
-        # Windowed telemetry (repro.obs.timeseries): the engines attach
+        # Windowed telemetry (repro.obs.timeseries): the engine attaches
         # a recorder; host-path entry points tick the virtual clock and
         # internal events (GC runs, scrubs, retirements, degradation)
         # stamp themselves at the last ticked time.
         self.window_recorder = None
         self._window_now_us = 0.0
-        # Media telemetry (repro.obs.channel): the engines attach a
+        # Media telemetry (repro.obs.channel): the engine attaches a
         # ChannelTelemetry; erases and retirements report themselves so
         # the per-block wear context stays current.  None disables.
         self.channel_telemetry = None

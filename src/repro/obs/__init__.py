@@ -16,7 +16,7 @@ Three pillars, one dependency-free subsystem:
   percentile-banded blame tables (``repro explain``).
 * :mod:`repro.obs.timeseries` — :class:`WindowedRecorder` virtual-time
   windowed telemetry (queue depth, per-channel activity, retry rate,
-  GC/scrub work, degraded state) emitted by both engines.
+  GC/scrub work, degraded state) emitted by the simulation engine.
 * :mod:`repro.obs.monitor` — online health monitoring over the
   windowed streams: CUSUM / Page–Hinkley change-point rules on the
   wear-drift signals, multi-window SLO burn-rate alerting, per-alert

@@ -32,8 +32,8 @@ Cause taxonomy
 ``buffered_write``
     Write service (host acknowledged at buffer insertion).
 ``service``
-    The legacy single-queue engine's flat service span — that engine
-    has no per-round visibility, so its service time is one cause.
+    Always zero: no span maps to it.  It stays in the taxonomy so
+    blame-table artifacts keep their key set byte for byte.
 ``other``
     Residual: float round-off and any trace time no rule claims.  The
     decomposition is exact by construction — ``other`` absorbs what is
@@ -75,9 +75,7 @@ CAUSES: tuple[str, ...] = (
 )
 
 #: Root-child span names that carry page-operation service time.
-_OP_NAMES = frozenset(
-    {"flash_read", "buffer_hit_read", "buffered_write", "service"}
-)
+_OP_NAMES = frozenset({"flash_read", "buffer_hit_read", "buffered_write"})
 
 #: Percentile-band edges of the aggregate blame tables.
 BAND_EDGES: tuple[float, ...] = (50.0, 95.0, 99.0)
@@ -228,10 +226,8 @@ def attribute_request(root: Span) -> RequestAttribution:
         elif op.name == "buffer_hit_read":
             causes["buffer_hit"] += op.duration_us
             record.buffer_hit = True
-        elif op.name == "buffered_write":
+        else:
             causes["buffered_write"] += op.duration_us
-        else:  # the legacy engine's flat "service" span
-            causes["service"] += op.duration_us
         cursor = max(cursor, op.end_us)
     if root.end_us > cursor:
         causes["other"] += root.end_us - cursor

@@ -266,7 +266,7 @@ class BenchResult:
     which are environment noise, not model outputs) lives in the
     embedded ``manifest`` and is never gated.  ``wall`` is the case's
     wall-clock sidecar — throughput (``wall_events_per_s``,
-    ``wall_requests_per_s``, diffed from the engines' process-global
+    ``wall_requests_per_s``, diffed from the engine's process-global
     ledger around the case) and ``peak_py_alloc_kb`` when tracing —
     also never compared by :func:`compare_results`, only trended.
     """
@@ -806,7 +806,7 @@ class BenchCase:
         self._builder = ManifestBuilder.begin(
             f"bench {name}", {"mode": self.mode}, seed=self.seed
         )
-        # Wall-throughput sidecar: snapshot the engines' process-global
+        # Wall-throughput sidecar: snapshot the engine's process-global
         # ledger now, diff it at emit time.  Costs two dict copies, and
         # needs no change in any bench script.
         self._wall0 = wall_snapshot()

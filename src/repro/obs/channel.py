@@ -35,13 +35,12 @@ wall-clock-free, fingerprinted with :func:`channel_fingerprint`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.manifest import fingerprint
 
 #: Artifact schema identifier.
 CHANNEL_SCHEMA = "repro.channel/1"
@@ -541,15 +540,8 @@ class ChannelTelemetry:
         return payload
 
 
-def channel_fingerprint(payload: Mapping[str, Any]) -> str:
-    """Stable 16-hex-digit fingerprint of a channel artifact payload.
-
-    Any ``fingerprint`` key already present is excluded, so the value
-    is stable whether computed before or after embedding.
-    """
-    body = {key: value for key, value in payload.items() if key != "fingerprint"}
-    text = json.dumps(body, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+#: Stable 16-hex-digit fingerprint of a channel artifact payload.
+channel_fingerprint = fingerprint
 
 
 def render_block_heatmap(

@@ -26,13 +26,27 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 
-def config_hash(config: dict[str, Any]) -> str:
-    """Stable short hash of a JSON-serialisable config mapping."""
-    canonical = json.dumps(config, sort_keys=True, default=str)
+def fingerprint(body: Mapping[str, Any]) -> str:
+    """16-hex-digit SHA-256 of ``body`` as sort-keyed JSON.
+
+    The one fingerprint convention of run configs and of the channel,
+    monitor and profile artifacts.  A top-level ``fingerprint`` key is
+    left out, so recomputing on a stamped artifact verifies it; a value
+    JSON cannot encode hashes through ``str``.
+    """
+    canonical = json.dumps(
+        {key: value for key, value in body.items() if key != "fingerprint"},
+        sort_keys=True,
+        default=str,
+    )
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+#: Stable short hash of a JSON-serialisable run configuration.
+config_hash = fingerprint
 
 
 def git_sha() -> str:

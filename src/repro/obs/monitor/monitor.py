@@ -15,8 +15,8 @@ spans — every alert carries its own blame table, not a pointer to a
 post-hoc tool.  Because windows close in virtual time and every input
 is deterministic, the alert stream is byte-identical across repeated
 runs of the same seed/config; ``monitor_fingerprint`` hashes the
-artifact under the PR 7 convention (wall-clock fields excluded) so
-cross-machine equality is one string comparison.
+artifact with :func:`repro.obs.manifest.fingerprint` (no wall-clock
+field enters it) so cross-machine equality is one string comparison.
 
 The monitor is an *observer*: it never touches the engine, the RNG
 streams, or the recorder's contents, so attaching it leaves the
@@ -26,13 +26,13 @@ tests/obs/test_monitor.py).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.obs.attribution import AttributionReport
+from repro.obs.manifest import fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor.burnrate import (
     DEFAULT_MIN_TOTAL,
@@ -54,7 +54,7 @@ MAX_ALERTS = 512
 
 #: Series whose nonzero observation marks read-only degraded mode.
 #: ``ftl.degraded.read_only`` is sampled 1.0 at the degradation
-#: instant; ``sim.degraded.read_only`` is the engines' per-completion
+#: instant; ``sim.degraded.read_only`` is the engine's per-completion
 #: gauge of the same flag.
 DEGRADED_SERIES = ("ftl.degraded.read_only", "sim.degraded.read_only")
 
@@ -123,7 +123,7 @@ class HealthMonitor:
     Parameters
     ----------
     recorder:
-        The windowed recorder both engines emit into.  ``attach()``
+        The windowed recorder the engine emits into.  ``attach()``
         registers the close hook; construct the monitor *before* the
         run so no windows are missed.
     registry:
@@ -444,15 +444,7 @@ class HealthMonitor:
             handle.write("\n".join(lines) + "\n")
 
 
-def monitor_fingerprint(artifact: dict[str, Any]) -> str:
-    """Hash of the deterministic artifact body (PR 7 convention).
-
-    Wall-clock never enters the monitor artifact (everything is keyed
-    by virtual time), so only a previously stamped ``fingerprint`` is
-    stripped before hashing; same seed/config ⇒ same fingerprint on
-    any machine.
-    """
-    body = dict(artifact)
-    body.pop("fingerprint", None)
-    payload = json.dumps(body, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
+#: Hash of the deterministic artifact body.  Wall-clock never enters
+#: the monitor artifact (everything is keyed by virtual time), so same
+#: seed/config give the same fingerprint on any machine.
+monitor_fingerprint = fingerprint

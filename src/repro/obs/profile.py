@@ -12,12 +12,12 @@ regression-gated events/sec floor to beat.
 
 Three profiling modes, one ``repro.profile/1`` artifact schema:
 
-* **instrument** — :class:`EventLoopProfiler`, threaded through both
-  simulation engines.  Per-event-type dispatch counts with
+* **instrument** — :class:`EventLoopProfiler`, threaded through the
+  simulation engine.  Per-event-type dispatch counts with
   exclusive/inclusive wall time, per-request-phase accounting
   (sense/transfer/decode/retry/GC/trace), the loop's wall time, and
   the profiler's own calibrated self-overhead.  Zero-cost when absent:
-  the engines guard every hook behind ``if profiler is not None``.
+  the engine guards every hook behind ``if profiler is not None``.
 * **sample** — :class:`StackSampler`, a background-thread stack
   sampler (configurable Hz) whose output is the standard
   collapsed-stack format (``frame;frame;frame count``) consumable by
@@ -32,7 +32,7 @@ from every config hash and from :func:`profile_fingerprint` (the
 deterministic identity of a profile artifact), so two same-seed runs
 compare equal no matter how fast the machine was.
 
-Independently of any profiler, both engines feed a process-global wall
+Independently of any profiler, the engine feeds a process-global wall
 ledger (:func:`record_loop` / :func:`wall_snapshot`) — two
 ``perf_counter`` calls per run — which is how every ``bench_case``
 records ``wall_events_per_s`` / ``wall_requests_per_s`` without the
@@ -41,8 +41,6 @@ bench scripts changing at all.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
 import threading
 import time
@@ -51,6 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
+from repro.obs.manifest import fingerprint
 
 #: Schema tag stamped into every profile artifact.
 PROFILE_SCHEMA = "repro.profile/1"
@@ -439,10 +438,7 @@ def profile_fingerprint(artifact: dict[str, Any]) -> str:
     Idempotent over its own output: a stored top-level ``fingerprint``
     key is ignored, so recomputing on a written artifact verifies it.
     """
-    stripped = _strip_wall(artifact)
-    stripped.pop("fingerprint", None)
-    canonical = json.dumps(stripped, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return fingerprint(_strip_wall(artifact))
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +461,12 @@ def profile_workload(
     workload: str,
     *,
     mode: str = "instrument",
-    engine: str = "des",
     system: str = "flexlevel",
     requests: int = 30_000,
     blocks: int = 256,
     pe: float = 6000.0,
     seed: int = 1,
-    channels: int | None = None,
+    channels: int = 4,
     retry: bool = True,
     hz: float = 97.0,
     top: int = 15,
@@ -489,15 +484,13 @@ def profile_workload(
     from repro.baselines import SystemConfig, build_system, system_names
     from repro.core.level_adjust import LevelAdjustPolicy
     from repro.obs.metrics import MetricsRegistry
-    from repro.sim import DesSimulationEngine, ReadRetryModel, SimulationEngine
+    from repro.sim import DesSimulationEngine, ReadRetryModel
     from repro.traces import make_workload, workload_names
 
     if mode not in PROFILE_MODES:
         raise ConfigurationError(
             f"unknown profile mode {mode!r}; choose from {PROFILE_MODES}"
         )
-    if engine not in ("queue", "des"):
-        raise ConfigurationError(f"unknown engine {engine!r}")
     if workload not in workload_names():
         raise ConfigurationError(
             f"unknown workload {workload!r}; choose from {workload_names()}"
@@ -506,8 +499,6 @@ def profile_workload(
         raise ConfigurationError(
             f"unknown system {system!r}; choose from {system_names()}"
         )
-    if channels is None:
-        channels = 4 if engine == "des" else 1
 
     from repro.ftl import SsdConfig
 
@@ -516,42 +507,28 @@ def profile_workload(
     )
     workload_obj = make_workload(workload, ssd_config.logical_pages)
     trace = workload_obj.generate(requests, seed=seed)
-    config = SystemConfig(
-        ssd=ssd_config,
-        footprint_pages=workload_obj.footprint_pages,
-        buffer_pages=512,
-        hotness_window=max(64, min(4096, requests // 8)),
+    config = SystemConfig.for_run(
+        ssd_config, workload_obj.footprint_pages, requests
     )
     registry = MetricsRegistry() if registry is None else registry
-
     profiler = EventLoopProfiler() if mode == "instrument" else None
 
     def build_engine():
-        built = build_system(system, config, level_adjust=LevelAdjustPolicy())
-        if engine == "des":
-            return DesSimulationEngine(
-                built,
-                warmup_fraction=0.25,
-                n_channels=channels,
-                retry_model=ReadRetryModel() if retry else None,
-                registry=registry,
-                profiler=profiler,
-            )
-        return SimulationEngine(
-            built,
+        return DesSimulationEngine(
+            build_system(system, config, level_adjust=LevelAdjustPolicy()),
             warmup_fraction=0.25,
             n_channels=channels,
+            retry_model=ReadRetryModel() if retry else None,
             registry=registry,
             profiler=profiler,
         )
 
-    sampler: StackSampler | None = None
     if mode == "sample":
-        sim_engine = build_engine()
+        engine = build_engine()
         sampler = StackSampler(hz=hz)
         sampler.start()
         try:
-            result = sim_engine.run(trace, workload)
+            result = engine.run(trace, workload)
         finally:
             sampler.stop()
         wall: dict[str, Any] = {
@@ -560,17 +537,15 @@ def profile_workload(
         }
     elif mode == "alloc":
         holder: dict[str, Any] = {}
-
-        def run_once():
-            sim_engine = build_engine()
-            holder["result"] = sim_engine.run(trace, workload)
-
-        alloc = allocation_profile(run_once, top=top)
+        # The allocation trace covers the system build and the replay.
+        alloc = allocation_profile(
+            lambda: holder.update(result=build_engine().run(trace, workload)),
+            top=top,
+        )
         result = holder["result"]
         wall = {"loop": _loop_payload(result), "alloc": alloc}
     else:
-        sim_engine = build_engine()
-        result = sim_engine.run(trace, workload)
+        result = build_engine().run(trace, workload)
         assert profiler is not None
         wall = profiler.to_dict()
 
@@ -579,7 +554,8 @@ def profile_workload(
         "mode": mode,
         "workload": workload,
         "system": system,
-        "engine": engine,
+        # Constant: keeps the artifact schema and fingerprints unchanged.
+        "engine": "des",
         "n_channels": channels,
         "requests": requests,
         "seed": seed,

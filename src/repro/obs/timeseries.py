@@ -4,7 +4,7 @@ One end-of-run metric snapshot cannot show a long run's *shape*: when
 the GC backlog stopped fitting into idle time, when retry rates spiked,
 when the drive degraded to read-only.  A :class:`WindowedRecorder`
 buckets observations into fixed windows of **simulated** time
-(configurable, default 1 ms) so both engines emit a time-resolved view
+(configurable, default 1 ms) so the engine emits a time-resolved view
 — queue depth, in-flight operations per channel, retry rate, GC and
 scrub activity, degraded-mode state — at O(windows × series) memory.
 
@@ -24,10 +24,10 @@ relies on.  Series names follow the dotted metric-namespace grammar of
 
 Window-close hooks: online consumers (the health monitor in
 :mod:`repro.obs.monitor`) register a callback with
-:meth:`WindowedRecorder.add_close_hook`; the engines drive
+:meth:`WindowedRecorder.add_close_hook`; the engine drives
 :meth:`WindowedRecorder.advance` with the event loop's virtual "now"
 and every window whose right edge has been passed closes exactly once,
-in index order, gaps included.  The engines only ever record
+in index order, gaps included.  The engine only ever records
 observations at times at or after the current event time, so a closed
 window is *final* — its cells can never change — which is what makes
 in-flight consumption deterministic.  :meth:`WindowedRecorder.flush`
@@ -116,7 +116,7 @@ class WindowedRecorder:
             windows = self._series[series] = {}
         index = self.window_index(time_us)
         if self._close_hooks and index < self._closed_through:
-            # Closed windows are final by contract: the engines never
+            # Closed windows are final by contract: the engine never
             # record at a time before the current event.  A late write
             # means an engine bug that would silently corrupt online
             # consumers, so fail loudly and deterministically.

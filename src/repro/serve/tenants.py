@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.traces.schema import TraceRecord
-from repro.traces.synthetic import SyntheticWorkload
+from repro.traces.synthetic import SyntheticWorkload, check_seed
 from repro.traces.workloads import PAPER_WORKLOADS, workload_names
 
 #: Default per-tenant submission-queue depth (NVMe queues are typically
@@ -304,7 +304,7 @@ def spawn_streams(
         specs = [
             replace(spec, tenant_id=i) for i, spec in enumerate(specs)
         ]
-    children = np.random.SeedSequence(seed).spawn(len(specs))
+    children = np.random.SeedSequence(check_seed(seed)).spawn(len(specs))
     return [
         TenantStream(spec, child, logical_pages, len(specs))
         for spec, child in zip(specs, children)

@@ -1,19 +1,12 @@
-"""Trace-driven simulation engines and result aggregation.
+"""Trace-driven simulation and result aggregation.
 
-Two engines share the result types:
-
-* :class:`SimulationEngine` — the legacy single-queue model (fast,
-  means-oriented).
-* :class:`~repro.sim.des.DesSimulationEngine` — the discrete-event
-  multi-channel model with read retry (tail-latency-oriented).
+:class:`~repro.sim.des.DesSimulationEngine` is the one engine: a
+discrete-event, multi-channel model with read retry.  With
+``n_channels=1`` and ``retry_model=None`` it is the single FIFO queue
+the paper's Fig. 6 / Fig. 7 response-time gaps come from.
 """
 
-from repro.sim.engine import SimulationEngine
-from repro.sim.results import (
-    DEFAULT_SAMPLE_CAP,
-    DesSimulationResult,
-    SimulationResult,
-)
+from repro.sim.results import DEFAULT_SAMPLE_CAP, DesSimulationResult
 from repro.sim.des import (
     DesSimulationEngine,
     ReadRetryConfig,
@@ -30,8 +23,6 @@ from repro.sim.crash import (
 
 __all__ = [
     "DEFAULT_SAMPLE_CAP",
-    "SimulationEngine",
-    "SimulationResult",
     "DesSimulationEngine",
     "DesSimulationResult",
     "ReadRetryConfig",

@@ -2,9 +2,9 @@
 
 :mod:`repro.faults.power` decides *when* power is lost and
 :mod:`repro.ftl.recovery` models *what* the medium durably holds; this
-module wires them end to end around both engines:
+module wires them end to end around the DES engine:
 
-1. **Crash** — run an engine with a ``crash_us`` cut (fixed ``--at-us``
+1. **Crash** — run the engine with a ``crash_us`` cut (fixed ``--at-us``
    point or the next draw of a seeded :class:`~repro.faults.power.
    SpoSchedule`); the run stops cold with in-flight requests aborted.
 2. **Recover** — remount from the durable medium: checkpoint + journal
@@ -54,12 +54,9 @@ from repro.ftl.ssd import _MODE_TO_INT
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import WindowedRecorder
 from repro.obs.tracing import Span
-from repro.sim.des import DesSimulationEngine
-from repro.sim.engine import SimulationEngine
-from repro.sim.results import SimulationResult
+from repro.sim.des import DesSimulationEngine, ReadRetryModel
+from repro.sim.results import DesSimulationResult
 from repro.traces.schema import TraceRecord
-
-ENGINES = ("queue", "des")
 
 
 @dataclass
@@ -80,7 +77,7 @@ class RecoveryOutcome:
 class CrashCycle:
     """One engine leg and, if it was cut short, its recovery."""
 
-    result: SimulationResult
+    result: DesSimulationResult
     outcome: RecoveryOutcome | None = None
 
 
@@ -90,7 +87,6 @@ class CrashRunResult:
 
     system_name: str
     workload_name: str
-    engine: str
     power: PowerConfig
     cycles: list[CrashCycle] = field(default_factory=list)
     #: The system the final leg ran on (post-recovery when it crashed
@@ -102,7 +98,7 @@ class CrashRunResult:
         return sum(1 for c in self.cycles if c.outcome is not None)
 
     @property
-    def final(self) -> SimulationResult:
+    def final(self) -> DesSimulationResult:
         return self.cycles[-1].result
 
     @property
@@ -120,13 +116,14 @@ class CrashRunResult:
 
         Virtual-time quantities only — a fixed (trace, config, SPO
         seed) reproduces it byte for byte; ``fingerprint`` pins that
-        in the determinism tests.
+        in the determinism tests.  The constant ``engine`` key keeps
+        the schema (and every recorded fingerprint) unchanged.
         """
         body: dict[str, Any] = {
             "schema": "repro/crash-run/v1",
             "system": self.system_name,
             "workload": self.workload_name,
-            "engine": self.engine,
+            "engine": "des",
             "power": self.power.to_dict(),
             "crashes": self.crashes,
             "cycles": [
@@ -342,44 +339,17 @@ def recover(
     )
 
 
-def _make_engine(
-    engine: str,
-    system: StorageSystem,
-    warmup_fraction: float,
-    n_channels: int,
-    registry: MetricsRegistry | None,
-    recorder: WindowedRecorder | None,
-):
-    if engine == "queue":
-        return SimulationEngine(
-            system,
-            warmup_fraction=warmup_fraction,
-            n_channels=n_channels,
-            registry=registry,
-            recorder=recorder,
-        )
-    if engine == "des":
-        return DesSimulationEngine(
-            system,
-            warmup_fraction=warmup_fraction,
-            n_channels=n_channels,
-            registry=registry,
-            recorder=recorder,
-        )
-    raise ConfigurationError(f"unknown engine {engine!r}; choose from {ENGINES}")
-
-
 def run_with_crashes(
     system_name: str,
     config: SystemConfig,
     records: Sequence[TraceRecord],
     power: PowerConfig,
     recovery: RecoveryConfig | None = None,
-    engine: str = "queue",
     fault_config: FaultConfig | None = None,
     resume: bool = True,
     warmup_fraction: float = 0.0,
     n_channels: int = 1,
+    retry: bool = False,
     workload_name: str = "unnamed",
     registry: MetricsRegistry | None = None,
     recorder: WindowedRecorder | None = None,
@@ -389,7 +359,10 @@ def run_with_crashes(
     With ``resume=False`` the run stops after the first recovery (the
     CLI's crash-then-inspect mode); otherwise the trace suffix that
     never arrived replays against the recovered system, repeatedly,
-    until the schedule is exhausted or the trace completes.
+    until the schedule is exhausted or the trace completes.  Every
+    leg runs a fresh :class:`DesSimulationEngine` on ``n_channels``
+    channels, with the default read-retry model if ``retry`` is set;
+    the defaults are the single FIFO queue.
     """
     if recovery is None:
         recovery = RecoveryConfig()
@@ -407,10 +380,7 @@ def run_with_crashes(
     schedule = SpoSchedule(power)
 
     run = CrashRunResult(
-        system_name=system_name,
-        workload_name=workload_name,
-        engine=engine,
-        power=power,
+        system_name=system_name, workload_name=workload_name, power=power
     )
     origin = 0.0
     remaining = records
@@ -423,15 +393,15 @@ def run_with_crashes(
             # crashed one's (counters and gauges accumulate normally).
             registry.deregister("sim.read.response_us")
             registry.deregister("sim.write.response_us")
-        eng = _make_engine(
-            engine,
+        engine = DesSimulationEngine(
             system,
-            warmup_fraction if first else 0.0,
-            n_channels,
-            registry,
-            recorder,
+            warmup_fraction=warmup_fraction if first else 0.0,
+            n_channels=n_channels,
+            retry_model=ReadRetryModel() if retry else None,
+            registry=registry,
+            recorder=recorder,
         )
-        result = eng.run(remaining, workload_name, crash_us=crash_us)
+        result = engine.run(remaining, workload_name, crash_us=crash_us)
         if not result.crashed:
             run.cycles.append(CrashCycle(result=result))
             break

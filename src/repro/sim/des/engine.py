@@ -1,17 +1,16 @@
 """The discrete-event multi-channel trace simulator.
 
-Where :class:`repro.sim.engine.SimulationEngine` approximates channel
-parallelism by dividing a request's service time, this engine models
-the controller the way hardware does it: a dispatcher splits each host
-request into page operations, routes every operation to the channel its
-*physical* page lives on (:meth:`repro.ftl.ssd.Ssd.channel_of`), and
-each channel serves its own FIFO queue while background GC fills the
-idle gaps per channel.  Reads run through a stochastic read-retry
-model — hard-decision sensing first, escalating rounds on decode
-failure — so the response-time distribution grows the heavy tail the
-mean-service model cannot represent.  That is the quantity the paper's
-Fig. 6 story is really about, and why the result carries p50/p95/p99
-and per-channel utilization.
+The engine models the controller the way hardware does it: a dispatcher
+splits each host request into page operations, routes every operation
+to the channel its *physical* page lives on
+(:meth:`repro.ftl.ssd.Ssd.channel_of`), and each channel serves its own
+FIFO queue while background GC fills the idle gaps per channel.  Reads
+run through a stochastic read-retry model — hard-decision sensing
+first, escalating rounds on decode failure — so the response-time
+distribution grows the heavy tail a mean-service model cannot
+represent.  That is the quantity the paper's Fig. 6 story is really
+about, and why the result carries p50/p95/p99 and per-channel
+utilization.
 
 Observability: pass a :class:`repro.obs.Tracer` to record sampled
 per-request span trees (queue wait, GC stalls, each sensing round with
@@ -22,9 +21,10 @@ attributed to queueing vs. sensing rounds vs. decoder time instead of
 being one opaque number.
 
 Reduction property: with ``n_channels=1`` and ``retry_model=None`` the
-engine reproduces the legacy single-queue engine request for request
-(same starts, same stalls, same service times); the DES test suite
-asserts the equivalence.
+engine is a single FIFO queue with granule-quantized background work,
+request for request (same starts, same stalls, same service times) the
+reference model in ``tests/sim/reference.py``; the DES test suite
+asserts the equivalence exactly, on fixed and random traces.
 
 Ingress: the event loop itself is trace-agnostic — it pulls
 :class:`~repro.sim.des.ingress.PendingRequest` objects from a

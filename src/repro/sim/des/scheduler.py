@@ -5,12 +5,11 @@ Each flash channel is an independent FIFO server: it has a *frontier*
 (GC, buffer-flush programs, AccessEval migrations assigned to it), and
 busy-time accounting for utilization reporting.
 
-Background work is granule-quantized, exactly like the legacy engine's
-single queue: the backlog drains into the idle gap before the next
-request on the channel, and if any backlog remains the request stalls
-for at most one non-preemptible granule.  With one channel this
-reproduces :class:`repro.sim.engine.SimulationEngine` step for step —
-the equivalence the DES tests pin down.
+Background work is granule-quantized: the backlog drains into the idle
+gap before the next request on the channel, and if any backlog remains
+the request stalls for at most one non-preemptible granule.  With one
+channel this is the single FIFO queue of ``tests/sim/reference.py``
+step for step — the equivalence the DES tests pin down.
 """
 
 from __future__ import annotations

@@ -28,14 +28,32 @@ def response_histogram(name: str) -> Histogram:
 
 
 @dataclass
-class SimulationResult:
-    """Response times and device counters from one trace run.
+class DesSimulationResult:
+    """Response times, device counters and channel state from one run.
 
     Response times are per *request* (not per page), in microseconds.
     Every response is streamed into a fixed-layout log-bucket histogram
     (O(buckets) memory); the exact per-request lists are additionally
     kept only while the run stays under ``sample_cap`` requests, after
     which percentiles switch to the streaming estimate.
+
+    Attributes
+    ----------
+    channel_busy_us:
+        Per-channel busy time (foreground page operations plus the
+        background-GC work drained on that channel), microseconds.
+    makespan_us:
+        Virtual time from the first arrival to the last completion.
+    retry_rounds_histogram:
+        ``{extra retry rounds: flash reads}`` — 0 means the first
+        sensing round decoded.
+    uncorrectable_reads:
+        Flash reads that exhausted the sensing ladder and failed the
+        final round (terminal outcome; only nonzero with fault
+        injection enabled).
+    uncorrectable_by_channel:
+        ``{channel: uncorrectable reads}`` for the channels that saw
+        any.
     """
 
     system_name: str
@@ -50,20 +68,25 @@ class SimulationResult:
     write_hist: Histogram = field(
         default_factory=lambda: response_histogram("sim.write.response_us")
     )
-    # Wall-clock cost of producing this result (set by the engines).
+    # Wall-clock cost of producing this result (set by the engine).
     # Deliberately NOT part of summary()/stats: those are simulated-time
     # outputs that must stay byte-identical across machines; wall data
     # travels through manifests and profile artifacts instead.
     wall_loop_s: float = 0.0
     wall_events: int = 0
     wall_requests: int = 0
-    # Sudden-power-off outcome (repro.faults.power): set by the engines
+    # Sudden-power-off outcome (repro.faults.power): set by the engine
     # when a crash point cut the run short.  The matching stats keys
     # ("crashed", "aborted_requests") are gated on an actual crash so
     # crash-free summaries stay byte-identical to pre-SPO builds.
     crashed: bool = False
     crash_us: float | None = None
     aborted_requests: int = 0
+    channel_busy_us: list[float] = field(default_factory=list)
+    makespan_us: float = 0.0
+    retry_rounds_histogram: dict[int, int] = field(default_factory=dict)
+    uncorrectable_reads: int = 0
+    uncorrectable_by_channel: dict[int, int] = field(default_factory=dict)
 
     def record(self, is_write: bool, response_us: float) -> None:
         """Record one request's response time."""
@@ -146,51 +169,6 @@ class SimulationResult:
             "p99_response_us": self.percentile_response_us(99),
         }
 
-    def summary(self) -> dict[str, float]:
-        """Flat summary for reports; every key appears exactly once."""
-        return {
-            "n_requests": self.n_requests,
-            "mean_response_us": self.mean_response_us(),
-            "mean_read_response_us": self.mean_read_response_us(),
-            "mean_write_response_us": self.mean_write_response_us(),
-            **self.percentiles(),
-            **{f"stats.{k}": v for k, v in self.stats.items()},
-        }
-
-
-@dataclass
-class DesSimulationResult(SimulationResult):
-    """Results of a discrete-event (multi-channel) simulation run.
-
-    Extends the legacy result with what the single-queue engine cannot
-    measure: per-channel utilization and the read-retry round counts
-    that shape the latency tail.
-
-    Attributes
-    ----------
-    channel_busy_us:
-        Per-channel busy time (foreground page operations plus the
-        background-GC work drained on that channel), microseconds.
-    makespan_us:
-        Virtual time from the first arrival to the last completion.
-    retry_rounds_histogram:
-        ``{extra retry rounds: flash reads}`` — 0 means the first
-        sensing round decoded.
-    uncorrectable_reads:
-        Flash reads that exhausted the sensing ladder and failed the
-        final round (terminal outcome; only nonzero with fault
-        injection enabled).
-    uncorrectable_by_channel:
-        ``{channel: uncorrectable reads}`` for the channels that saw
-        any.
-    """
-
-    channel_busy_us: list[float] = field(default_factory=list)
-    makespan_us: float = 0.0
-    retry_rounds_histogram: dict[int, int] = field(default_factory=dict)
-    uncorrectable_reads: int = 0
-    uncorrectable_by_channel: dict[int, int] = field(default_factory=dict)
-
     @property
     def n_channels(self) -> int:
         return len(self.channel_busy_us)
@@ -234,14 +212,15 @@ class DesSimulationResult(SimulationResult):
         return weighted / total
 
     def summary(self) -> dict[str, float]:
-        """Flat summary: the legacy fields plus the DES-only metrics.
-
-        The percentile triple comes from :meth:`SimulationResult.summary`
-        alone — no key is computed or emitted twice.
-        """
+        """Flat summary for reports; every key appears exactly once."""
         utilization = self.channel_utilization()
         return {
-            **super().summary(),
+            "n_requests": self.n_requests,
+            "mean_response_us": self.mean_response_us(),
+            "mean_read_response_us": self.mean_read_response_us(),
+            "mean_write_response_us": self.mean_write_response_us(),
+            **self.percentiles(),
+            **{f"stats.{k}": v for k, v in self.stats.items()},
             "n_channels": self.n_channels,
             "makespan_us": self.makespan_us,
             "mean_channel_utilization": (

@@ -14,11 +14,21 @@ traces read a tiny hot set but log writes sequentially, for example).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.traces.schema import TraceRecord
+
+
+def check_seed(seed):
+    """``seed`` itself; numpy seeds only from non-negative integers, so a
+    negative one raises :class:`ConfigurationError` instead.  Seed
+    sequences and generators pass through."""
+    if isinstance(seed, Integral) and seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -74,7 +84,7 @@ class SyntheticWorkload:
         """Generate a seeded trace of ``n_requests`` records."""
         if n_requests <= 0:
             raise ConfigurationError("n_requests must be positive")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(check_seed(seed))
         read_pop = _zipf_sampler(self.footprint_pages, self.read_zipf_s, rng)
         write_pop = _zipf_sampler(self.footprint_pages, self.write_zipf_s, rng)
 

@@ -18,7 +18,7 @@ from repro.ftl.recovery import (
     RecoveryManager,
     recovery_fingerprint,
 )
-from repro.sim.engine import SimulationEngine
+from repro.sim import DesSimulationEngine
 from repro.traces.schema import TraceRecord
 
 
@@ -32,10 +32,10 @@ def small_config(buffer_pages=16):
     )
 
 
-def write_heavy_trace(n=400, footprint=100):
+def write_heavy_trace(n=400, footprint=100, gap_us=200.0):
     """Writes dominate so flash programs (and GC erases) happen early."""
     return [
-        TraceRecord(i * 200.0, (i * 13) % footprint, 1, i % 4 != 0)
+        TraceRecord(i * gap_us, (i * 13) % footprint, 1, i % 4 != 0)
         for i in range(n)
     ]
 
@@ -43,7 +43,9 @@ def write_heavy_trace(n=400, footprint=100):
 def run_system(config, recovery, trace, crash_us=None, name="flexlevel"):
     manager = RecoveryManager(recovery, config.ssd)
     system = build_system(name, config, recovery=manager)
-    engine = SimulationEngine(system, warmup_fraction=0.0)
+    engine = DesSimulationEngine(
+        system, warmup_fraction=0.0, n_channels=1, retry_model=None
+    )
     result = engine.run(trace, "t", crash_us=crash_us)
     return system, manager, result
 
@@ -207,18 +209,45 @@ class TestRemountPaths:
 
     def test_buffer_residents_are_the_plp_capture(self):
         """Acked buffer-resident writes are exactly what PLP replays:
-        none of them may be silently dropped at remount."""
-        config = small_config(buffer_pages=64)
+        none of them may be silently dropped at remount.
+
+        The engine admits a write into the buffer at its arrival but
+        acknowledges it at its service start, which a busy channel can
+        put past the cut.  With arrivals every 1 ms the channel keeps
+        up and every resident was acknowledged before the cut; at
+        200 us it saturates and every resident's newest write is
+        acknowledged after it, so PLP holds an older version instead.
+        """
         recovery = RecoveryConfig(checkpoint_interval_us=5_000.0)
-        system, manager, result = run_system(
-            config, recovery, write_heavy_trace(), crash_us=50_000.0
-        )
-        assert result.crashed
-        residents = system.buffer.residents()
-        state = manager.scan_at(result.crash_us)
-        plp = manager.plp_log(result.crash_us, state.versions())
-        for lpn in residents:
-            assert lpn in plp, f"buffered dirty lpn {lpn} lost by PLP"
+        late_residents = {}
+        for gap_us in (1_000.0, 200.0):
+            system, manager, result = run_system(
+                small_config(buffer_pages=64),
+                recovery,
+                write_heavy_trace(gap_us=gap_us),
+                crash_us=50_000.0,
+            )
+            assert result.crashed
+            residents = system.buffer.residents()
+            assert residents
+            state = manager.scan_at(result.crash_us)
+            plp = manager.plp_log(result.crash_us, state.versions())
+            newest = {
+                lpn: (now_us, version)
+                for now_us, lpn, version in manager.ack_log
+            }
+            late = set()
+            for lpn in residents:
+                acked_us, version = newest[lpn]
+                if acked_us > result.crash_us:
+                    late.add(lpn)
+                else:
+                    assert plp.get(lpn) == version, (
+                        f"buffered dirty lpn {lpn} lost by PLP"
+                    )
+            late_residents[gap_us] = late
+        assert not late_residents[1_000.0]
+        assert late_residents[200.0]
 
 
 class TestFingerprint:

@@ -6,7 +6,7 @@ import pytest
 from repro.baselines.systems import SystemConfig, build_system, system_names
 from repro.core.level_adjust import CellMode
 from repro.ftl.config import SsdConfig
-from repro.sim.engine import SimulationEngine
+from repro.sim import DesSimulationEngine
 from repro.traces.synthetic import SyntheticWorkload
 from repro.traces.io import read_trace_csv, write_trace_csv
 
@@ -44,7 +44,9 @@ def results(ssd_config, workload, trace, shared_policy):
             hotness_window=512,
         )
         system = build_system(name, config, level_adjust=shared_policy)
-        engine = SimulationEngine(system, warmup_fraction=0.25)
+        engine = DesSimulationEngine(
+            system, warmup_fraction=0.25, n_channels=1, retry_model=None
+        )
         out[name] = (system, engine.run(trace, "integration"))
     return out
 
@@ -107,7 +109,10 @@ class TestTraceFileWorkflow:
             ssd=ssd_config, footprint_pages=workload.footprint_pages, buffer_pages=32
         )
         system = build_system("flexlevel", config, level_adjust=shared_policy)
-        result = SimulationEngine(system, warmup_fraction=0.0).run(loaded, "file")
+        engine = DesSimulationEngine(
+            system, warmup_fraction=0.0, n_channels=1, retry_model=None
+        )
+        result = engine.run(loaded, "file")
         assert result.n_requests == 500
 
 

@@ -11,6 +11,11 @@ frame, and the direct FTL stream hashes the final mapping, the erase
 counts and the durable record log.  Floats are canonicalised to 12
 significant digits so a last-ulp difference between numpy builds cannot
 flip a digest, while any behavioural change still does.
+
+:class:`TestCommandGoldens` pins the Fig. 6/7 driver and the
+``simulate``/``crash``/``profile``/``monitor``/``explain`` commands bit
+for bit (``float.hex`` digests, artifact fingerprints and file hashes),
+as recorded while a separate single-queue engine still existed.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ import json
 
 import numpy as np
 
+from repro.__main__ import main
 from repro.analysis.calibration import calibrated_analyzer
+from repro.analysis.experiments import SystemExperimentConfig, run_workload_matrix
 from repro.baselines.systems import SystemConfig, build_system
 from repro.core.level_adjust import LevelAdjustPolicy
 from repro.core.reduce_code import ReduceCodeCoding
@@ -55,6 +62,29 @@ ECC_DIGEST = "fef52fec24d4675d"
 GC_DES_SUMMARY_DIGEST = "1d40bd2d255f866a"
 GC_DES_STATS_DIGEST = "eaad5735d2981d0b"
 FTL_STREAM_DIGEST = "fc5f190f911c62c9"
+#: Recorded while a separate single-queue engine still existed: the
+#: Fig. 6/7 driver ran on it, and the CLI runs passed ``--engine des``
+#: (the single-queue CLI digest ran ``--engine queue``).
+MATRIX_DIGEST = "145d6329d392ba4f"
+SIMULATE_DIGEST = "e551e00f2ed1aff6"
+SINGLE_QUEUE_SIMULATE_DIGEST = "6ebedef9f5cfd628"
+CRASH_FINGERPRINT = "10de2958893a6d7d"
+PROFILE_FINGERPRINT = "c0f421fd8f8ff436"
+MONITOR_DIGEST = "6708e038c7804d3f"
+EXPLAIN_DIGEST = "aa3c8cd702f304c0"
+#: Summary keys only a multi-channel retry model reports; the
+#: single-queue digest covers every other key.
+DES_ONLY_KEYS = frozenset(
+    {
+        "n_channels",
+        "makespan_us",
+        "mean_channel_utilization",
+        "mean_retry_rounds",
+        "uncorrectable_reads",
+        "uncorrectable_rate",
+        "stats.mean_retry_rounds",
+    }
+)
 
 
 def digest(payload: dict) -> str:
@@ -65,6 +95,26 @@ def digest(payload: dict) -> str:
     }
     text = json.dumps(canonical, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def hex_digest(payload: dict) -> str:
+    """16-hex-digit SHA-256 with floats as ``float.hex`` (bit-exact)."""
+    canonical = {
+        str(key): value.hex() if isinstance(value, float) else value
+        for key, value in payload.items()
+    }
+    text = json.dumps(canonical, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _file_digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def _cli(capsys, *argv: str) -> str:
+    """Run one ``repro`` command; returns its stdout."""
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
 
 
 def _flexlevel(buffer_pages: int):
@@ -283,3 +333,85 @@ class TestRunDigests:
         assert stats.wear_level_moves > 0 and stats.trimmed_pages > 0
         assert not ssd.read_only
         assert digest(payload) == FTL_STREAM_DIGEST
+
+
+def matrix_payload() -> dict:
+    """The Fig. 6/7 driver on all 7 workloads x 4 systems at 64 blocks
+    (10 of the 28 pairs garbage-collect): means plus every stats key."""
+    payload = {}
+    for run in run_workload_matrix(SystemExperimentConfig(n_blocks=64, n_requests=3000)):
+        stats = dict(run.stats)
+        # The one key the single-queue driver did not report.
+        assert stats.pop("mean_retry_rounds") == 0.0
+        prefix = f"{run.workload}/{run.system}"
+        payload[f"{prefix}/mean"] = run.mean_response_us
+        payload[f"{prefix}/read"] = run.mean_read_response_us
+        for key, value in stats.items():
+            payload[f"{prefix}/{key}"] = value
+    return payload
+
+
+class TestCommandGoldens:
+    """The driver and CLI outputs of the two-engine tree, pinned bit for bit."""
+
+    common = ("--requests", "1200", "--blocks", "128")
+
+    def test_workload_matrix_is_unchanged(self):
+        assert hex_digest(matrix_payload()) == MATRIX_DIGEST
+
+    def simulate_rows(self, capsys, tmp_path, *extra):
+        out = _cli(
+            capsys, "simulate", "fin-2", "--json", *self.common,
+            "--out-dir", str(tmp_path), *extra,
+        )
+        return json.loads(out)["rows"]
+
+    def test_simulate_summaries_are_unchanged(self, capsys, tmp_path):
+        rows = self.simulate_rows(capsys, tmp_path)
+        payload = {
+            f"{row['system']}/{key}": value
+            for row in rows
+            for key, value in row["summary"].items()
+        }
+        assert hex_digest(payload) == SIMULATE_DIGEST
+
+    def test_one_channel_without_retry_is_the_single_queue(self, capsys, tmp_path):
+        rows = self.simulate_rows(capsys, tmp_path, "--channels", "1", "--no-retry")
+        payload = {
+            f"{row['system']}/{key}": value
+            for row in rows
+            for key, value in row["summary"].items()
+            if key not in DES_ONLY_KEYS
+        }
+        assert all(row["summary"]["stats.mean_retry_rounds"] == 0.0 for row in rows)
+        assert hex_digest(payload) == SINGLE_QUEUE_SIMULATE_DIGEST
+
+    def test_crash_artifact_is_unchanged(self, capsys, tmp_path):
+        out = tmp_path / "crash.json"
+        _cli(
+            capsys, "crash", "prj-1", "--at-us", "150000", "--requests", "1500",
+            "--blocks", "64", "--checkpoint-interval-us", "50000", "--out", str(out),
+        )
+        body = json.loads(out.read_text())
+        assert body["crashes"] == 1
+        assert body["fingerprint"] == CRASH_FINGERPRINT
+
+    def test_profile_artifact_is_unchanged(self, capsys, tmp_path):
+        out = tmp_path / "profile.json"
+        _cli(capsys, "profile", "fin-2", "--mode", "instrument", *self.common, "--out", str(out))
+        assert json.loads(out.read_text())["fingerprint"] == PROFILE_FINGERPRINT
+
+    def test_monitor_artifact_is_unchanged(self, capsys, tmp_path):
+        out = tmp_path / "monitor.json"
+        _cli(
+            capsys, "monitor", "fin-2", "--requests", "1500", "--blocks", "128",
+            "--pe", "16000", "--faults", "--fault-scale", "100", "--seed", "42",
+            "--out", str(out),
+        )
+        assert json.loads(out.read_text())["monitor"]["n_alerts"] > 0
+        assert _file_digest(out) == MONITOR_DIGEST
+
+    def test_explain_artifact_is_unchanged(self, capsys, tmp_path):
+        out = tmp_path / "explain.json"
+        _cli(capsys, "explain", "fin-2", *self.common, "--out", str(out))
+        assert _file_digest(out) == EXPLAIN_DIGEST

@@ -15,12 +15,7 @@ from repro.obs import (
     diff_reports,
 )
 from repro.obs.tracing import Span
-from repro.sim import (
-    DesSimulationEngine,
-    ReadRetryConfig,
-    ReadRetryModel,
-    SimulationEngine,
-)
+from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel
 from repro.traces.schema import TraceRecord
 
 
@@ -156,18 +151,19 @@ class TestRequestAttribution:
         assert record.is_write
         assert record.causes["buffered_write"] == pytest.approx(3.0)
 
-    def test_legacy_service_tree(self):
-        """The queue engine's flat tree: overlapping wait/stall spans."""
-        root = Span("read_request", 0.0, seq=0)
+    def test_wait_span_overlapping_the_stall(self):
+        """A queue-wait span covering the GC stall counts it once."""
+        root = Span("write_request", 0.0, seq=0)
         root.span("queue_wait", 0.0).end(30.0)  # overlaps the stall
-        root.span("gc_stall", 20.0).end(30.0)
-        root.span("service", 30.0, n_pages=2).end(90.0)
+        root.span("gc_stall", 20.0, channel=0).end(30.0)
+        root.span("buffered_write", 30.0, channel=0, lpn=1).end(90.0)
         root.end(90.0)
         record = attribute_request(root)
         assert_exact(record)
         assert record.causes["queue_wait"] == pytest.approx(20.0)
         assert record.causes["gc_stall"] == pytest.approx(10.0)
-        assert record.causes["service"] == pytest.approx(60.0)
+        assert record.causes["buffered_write"] == pytest.approx(60.0)
+        assert record.causes["service"] == 0.0
 
     def test_gaps_between_ops_become_other(self):
         root = Span("read_request", 0.0, seq=0)
@@ -288,16 +284,24 @@ class TestEngineIntegration:
         assert 0 < report.uncorrectable_requests <= result.uncorrectable_reads
 
     def test_queue_engine_trees_attribute_exactly(self, shared_policy):
+        """One channel without retry: the single FIFO queue's trees."""
         system = tiny_system("flexlevel", shared_policy)
         tracer = Tracer(sample_every=1, keep_slowest=0)
-        engine = SimulationEngine(
-            system, warmup_fraction=0.1, n_channels=1, tracer=tracer
+        engine = DesSimulationEngine(
+            system,
+            warmup_fraction=0.1,
+            n_channels=1,
+            retry_model=None,
+            tracer=tracer,
         )
         result = engine.run(mixed_trace(), "t")
         report = AttributionReport.from_spans(tracer.spans)
         for record in report.requests:
             assert_exact(record)
-        assert report.overall.blame_us["service"] > 0.0
+        assert report.overall.blame_us["sense"] > 0.0
+        assert report.overall.blame_us["retry"] == 0.0
+        assert report.overall.blame_us["service"] == 0.0
+        assert report.off_path_us == 0.0
         recorded = result.read_hist.sum + result.write_hist.sum
         assert report.total_us == pytest.approx(recorded, rel=0.01)
 
@@ -325,7 +329,7 @@ class TestReportShape:
     def test_diff_reports_deltas(self):
         def one_request_report(duration, wait):
             root = Span("read_request", 0.0, seq=0)
-            root.span("service", wait, n_pages=1).end(duration)
+            root.span("buffer_hit_read", wait, channel=0, lpn=1).end(duration)
             root.end(duration)
             return AttributionReport.from_spans([root])
 

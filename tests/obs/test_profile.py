@@ -8,7 +8,7 @@ The invariants pinned here are the ones the DES raw-speed refactor
   within the calibrated self-overhead budget;
 * same-seed runs produce identical event counts and identical profile
   fingerprints — wall numbers are data, never identity;
-* with no profiler attached the engines' simulated-time outputs are
+* with no profiler attached the engine's simulated-time outputs are
   byte-identical to profiled runs, and the disabled guard costs far
   less than 2% of a real event's processing time;
 * collapsed-stack output round-trips through the parser flamegraph.pl
@@ -351,7 +351,7 @@ def test_profile_workload_rejects_unknowns():
     with pytest.raises(ConfigurationError):
         profile_workload("no-such-workload", **RUN_KW)
     with pytest.raises(ConfigurationError):
-        profile_workload("fin-2", engine="warp", **RUN_KW)
+        profile_workload("fin-2", system="warp", **RUN_KW)
 
 
 def test_profile_workload_sample_and_alloc_modes():

@@ -160,7 +160,7 @@ class TestCloseHooks:
         self, shared_policy
     ):
         from repro.obs import MetricsRegistry
-        from repro.sim import SimulationEngine
+        from repro.sim import DesSimulationEngine
 
         def run_queue():
             system = tiny_system("flexlevel", shared_policy)
@@ -169,10 +169,11 @@ class TestCloseHooks:
             recorder.add_close_hook(
                 lambda index, start, end: closed.append((index, start, end))
             )
-            engine = SimulationEngine(
+            engine = DesSimulationEngine(
                 system,
                 warmup_fraction=0.1,
                 n_channels=1,
+                retry_model=None,
                 registry=MetricsRegistry(),
                 recorder=recorder,
             )
@@ -279,15 +280,16 @@ class TestDesEngineWindows:
 class TestQueueEngineWindows:
     def test_single_server_busy_reconciles(self, shared_policy):
         from repro.obs import MetricsRegistry
-        from repro.sim import SimulationEngine
+        from repro.sim import DesSimulationEngine
 
         system = tiny_system("flexlevel", shared_policy)
         recorder = WindowedRecorder(window_us=500.0)
         registry = MetricsRegistry()
-        engine = SimulationEngine(
+        engine = DesSimulationEngine(
             system,
             warmup_fraction=0.1,
             n_channels=1,
+            retry_model=None,
             registry=registry,
             recorder=recorder,
         )

@@ -17,11 +17,17 @@ from repro.faults.power import PowerConfig
 from repro.ftl.config import SsdConfig
 from repro.ftl.recovery import RecoveryConfig, RecoveryManager
 from repro.sim.crash import recover, run_with_crashes
-from repro.sim.des.engine import DesSimulationEngine
-from repro.sim.engine import SimulationEngine
+from repro.sim.des import DesSimulationEngine, ReadRetryModel
 from repro.traces.schema import TraceRecord
 
 RECOVERY = RecoveryConfig(checkpoint_interval_us=5_000.0)
+
+#: Engine layouts: the single FIFO queue without read retry, and four
+#: channels with the default retry model.
+LAYOUTS = {
+    "queue": {"n_channels": 1, "retry": False},
+    "des": {"n_channels": 4, "retry": True},
+}
 
 
 def small_config(buffer_pages=16):
@@ -42,9 +48,13 @@ def write_heavy_trace(n=400, footprint=100):
 
 
 def make_engine(name, system):
-    if name == "queue":
-        return SimulationEngine(system, warmup_fraction=0.0)
-    return DesSimulationEngine(system, warmup_fraction=0.0, n_channels=4)
+    layout = LAYOUTS[name]
+    return DesSimulationEngine(
+        system,
+        warmup_fraction=0.0,
+        n_channels=layout["n_channels"],
+        retry_model=ReadRetryModel() if layout["retry"] else None,
+    )
 
 
 def reference_medium(engine_name, trace):
@@ -94,7 +104,7 @@ class TestCrashPointSweep:
             trace,
             PowerConfig(enabled=True, at_us=26_017.0),
             recovery=RECOVERY,
-            engine=engine_name,
+            **LAYOUTS[engine_name],
         )
         assert run.crashes == 1
         assert not run.final.crashed
@@ -113,7 +123,7 @@ class TestRateModeCycles:
             write_heavy_trace(),
             PowerConfig(enabled=True, rate_per_s=60.0, seed=5, max_crashes=3),
             recovery=RECOVERY,
-            engine="queue",
+            **LAYOUTS["queue"],
         )
         assert 1 <= run.crashes <= 3
         assert not run.final.crashed
@@ -127,7 +137,7 @@ class TestRateModeCycles:
             write_heavy_trace(),
             PowerConfig(enabled=True, at_us=26_017.0),
             recovery=RECOVERY,
-            engine="queue",
+            **LAYOUTS["queue"],
             resume=False,
         )
         assert run.crashes == 1
@@ -151,7 +161,7 @@ class TestDeterminism:
                     enabled=True, rate_per_s=40.0, seed=9, max_crashes=4
                 ),
                 recovery=RECOVERY,
-                engine=engine_name,
+                **LAYOUTS[engine_name],
             ).to_dict()
 
         a, b = one_run(), one_run()
@@ -168,7 +178,7 @@ class TestDeterminism:
                     enabled=True, rate_per_s=40.0, seed=seed, max_crashes=4
                 ),
                 recovery=RECOVERY,
-                engine="queue",
+                **LAYOUTS["queue"],
             ).to_dict()["fingerprint"]
 
         assert fp(9) != fp(10)

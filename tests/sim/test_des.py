@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.systems import ReadServiceBreakdown, SystemConfig, build_system
+from repro.core.level_adjust import LevelAdjustPolicy
 from repro.ecc.ldpc.latency import ReadLatencyModel
 from repro.errors import ConfigurationError, SimulationError
 from repro.ftl.config import SsdConfig
@@ -12,11 +15,11 @@ from repro.sim import (
     ReadRetryConfig,
     ReadRetryModel,
     RetryOutcome,
-    SimulationEngine,
 )
 from repro.sim.des.events import Event, EventHeap, EventKind
 from repro.sim.des.scheduler import ChannelScheduler
 from repro.traces.schema import TraceRecord
+from tests.sim.reference import run_single_queue
 
 
 def tiny_system(name="ldpc-in-ssd", shared_policy=None, **overrides):
@@ -138,26 +141,67 @@ class TestConservation:
             ] == pytest.approx(utilization, rel=1e-12)
 
 
+def assert_matches_reference(des, reference):
+    """Exact equality: every response in completion order, every stat."""
+    assert des.read_responses_us == reference.read_responses_us
+    assert des.write_responses_us == reference.write_responses_us
+    stats = dict(des.stats)
+    assert stats.pop("mean_retry_rounds") == 0.0
+    assert stats == reference.stats
+
+
+def gc_heavy_system(name):
+    """A 64-block drive with a footprint of 40 % of its logical space
+    and an 8-page buffer, so write-heavy traces garbage-collect."""
+    ssd = SsdConfig(n_blocks=64, pages_per_block=16, gc_free_block_threshold=2)
+    config = SystemConfig(
+        ssd=ssd, footprint_pages=int(ssd.logical_pages * 0.4), buffer_pages=8
+    )
+    # A private policy: its BER-cache counters are part of the stats.
+    return build_system(name, config, level_adjust=LevelAdjustPolicy())
+
+
 class TestLegacyEquivalence:
+    """One channel without retry is the single-queue reference model."""
+
     @pytest.mark.parametrize("name", ["baseline", "ldpc-in-ssd", "flexlevel"])
-    def test_single_channel_no_retry_matches_legacy(self, shared_policy, name):
+    def test_single_channel_no_retry_matches_legacy(self, name):
         trace = mixed_trace(300)
-        legacy = SimulationEngine(
-            tiny_system(name, shared_policy=shared_policy), warmup_fraction=0.1
-        ).run(trace, "t")
+        reference = run_single_queue(gc_heavy_system(name), trace, 0.1)
         des = DesSimulationEngine(
-            tiny_system(name, shared_policy=shared_policy),
+            gc_heavy_system(name),
             warmup_fraction=0.1,
             n_channels=1,
             retry_model=None,
         ).run(trace, "t")
-        assert des.mean_response_us() == pytest.approx(
-            legacy.mean_response_us(), rel=1e-9
-        )
-        assert des.n_requests == legacy.n_requests
-        assert sorted(des.read_responses_us) == pytest.approx(
-            sorted(legacy.read_responses_us), rel=1e-9
-        )
+        assert_matches_reference(des, reference)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        name=st.sampled_from(["baseline", "leveladjust-only", "flexlevel"]),
+    )
+    def test_random_traces_match_reference_on_gc_heavy_drive(self, seed, name):
+        rng = np.random.default_rng(seed)
+        n = 250
+        times = np.cumsum(rng.exponential(rng.uniform(50.0, 2000.0), n))
+        trace = [
+            TraceRecord(
+                float(times[i]),
+                int(rng.integers(300)),
+                int(rng.integers(1, 5)),
+                bool(rng.random() < 0.6),
+            )
+            for i in range(n)
+        ]
+        reference = run_single_queue(gc_heavy_system(name), trace, 0.1)
+        des = DesSimulationEngine(
+            gc_heavy_system(name),
+            warmup_fraction=0.1,
+            n_channels=1,
+            retry_model=None,
+        ).run(trace, "t")
+        assert_matches_reference(des, reference)
 
     def test_multi_channel_speeds_up_parallel_requests(self, shared_policy):
         def mean(channels):

@@ -1,4 +1,4 @@
-"""Property tests for the simulation engine's queueing discipline."""
+"""Property tests for the engine's queueing discipline as a single FIFO queue."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.systems import SystemConfig, build_system
 from repro.ftl.config import SsdConfig
-from repro.sim.engine import SimulationEngine
+from repro.sim import DesSimulationEngine
 from repro.traces.schema import TraceRecord
 
 
@@ -17,6 +17,13 @@ def make_system(policy):
         ssd=ssd, footprint_pages=int(ssd.logical_pages * 0.4), buffer_pages=16
     )
     return build_system("ldpc-in-ssd", config, level_adjust=policy)
+
+
+def run_single_queue(system, trace):
+    engine = DesSimulationEngine(
+        system, warmup_fraction=0.0, n_channels=1, retry_model=None
+    )
+    return engine.run(trace, "prop")
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +49,7 @@ def test_property_responses_cover_own_service(module_policy, seed, n, rate):
         for i in range(n)
     ]
     system = make_system(module_policy)
-    result = SimulationEngine(system, warmup_fraction=0.0).run(trace, "prop")
+    result = run_single_queue(system, trace)
     assert result.n_requests == n
     for response in result.read_responses_us:
         assert response >= system.config.ssd.timing.buffer_hit_us
@@ -67,7 +74,7 @@ def test_property_work_conservation(module_policy, seed):
             for i in range(40)
         ]
         system = make_system(module_policy)
-        return SimulationEngine(system, warmup_fraction=0.0).run(trace, "prop")
+        return run_single_queue(system, trace)
 
     fast = run(1.0)
     slow = run(4.0)

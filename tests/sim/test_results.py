@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.sim.results import DesSimulationResult, SimulationResult
+from repro.sim.results import DesSimulationResult
 from repro.errors import ConfigurationError
 
 
 def make_result():
-    result = SimulationResult("flexlevel", "fin-2")
+    result = DesSimulationResult("flexlevel", "fin-2")
     for value in (100.0, 200.0, 300.0):
         result.record(False, value)
     for value in (50.0, 150.0):
@@ -33,7 +33,7 @@ class TestAggregates:
         assert result.percentile_response_us(0) == pytest.approx(50.0)
 
     def test_empty_result(self):
-        result = SimulationResult("baseline", "none")
+        result = DesSimulationResult("baseline", "none")
         assert result.mean_response_us() == 0.0
         assert result.percentile_response_us(99) == 0.0
 
@@ -55,7 +55,7 @@ class TestAggregates:
 
 class TestSampleCap:
     def test_exact_below_cap(self):
-        result = SimulationResult("s", "w", sample_cap=10)
+        result = DesSimulationResult("s", "w", sample_cap=10)
         for value in (10.0, 20.0, 30.0):
             result.record(False, value)
         assert result.exact_samples
@@ -64,7 +64,7 @@ class TestSampleCap:
     def test_lists_bounded_at_cap(self):
         """Memory past the cap is O(histogram buckets), not O(requests)."""
         cap = 1_000
-        result = SimulationResult("s", "w", sample_cap=cap)
+        result = DesSimulationResult("s", "w", sample_cap=cap)
         rng = np.random.default_rng(42)
         samples = rng.lognormal(mean=5.0, sigma=0.8, size=100_000)
         for i, value in enumerate(samples):
@@ -75,7 +75,7 @@ class TestSampleCap:
 
     def test_streaming_percentiles_within_5pct_of_exact(self):
         """The acceptance bound: capped runs stay within 5 % at p99."""
-        result = SimulationResult("s", "w", sample_cap=1_000)
+        result = DesSimulationResult("s", "w", sample_cap=1_000)
         rng = np.random.default_rng(2015)
         samples = rng.lognormal(mean=5.5, sigma=0.9, size=100_000)
         for i, value in enumerate(samples):
@@ -87,7 +87,7 @@ class TestSampleCap:
             ), f"p{q}"
 
     def test_mean_exact_at_any_scale(self):
-        result = SimulationResult("s", "w", sample_cap=2)
+        result = DesSimulationResult("s", "w", sample_cap=2)
         values = [10.0, 20.0, 30.0, 40.0]
         for value in values:
             result.record(False, value)
@@ -109,23 +109,39 @@ class TestSummaryDedupe:
             assert key in summary
 
     def test_des_summary_computes_each_percentile_once(self, monkeypatch):
-        """Pin the fix: the triple comes from the base summary alone."""
+        """Pin the fix: the percentile triple is computed once."""
         result = self.make_des_result()
         calls = []
-        original = SimulationResult.percentile_response_us
+        original = DesSimulationResult.percentile_response_us
 
         def counting(self, q):
             calls.append(q)
             return original(self, q)
 
-        monkeypatch.setattr(SimulationResult, "percentile_response_us", counting)
+        monkeypatch.setattr(DesSimulationResult, "percentile_response_us", counting)
         result.summary()
         assert sorted(calls) == [50, 95, 99]
 
     def test_des_summary_extends_base_summary(self):
+        """Response and stats keys first, then channel and retry keys."""
         result = self.make_des_result()
+        result.stats = {"erase_blocks": 3.0}
         summary = result.summary()
-        for key, value in SimulationResult.summary(result).items():
-            assert summary[key] == value
+        assert list(summary) == [
+            "n_requests",
+            "mean_response_us",
+            "mean_read_response_us",
+            "mean_write_response_us",
+            "p50_response_us",
+            "p95_response_us",
+            "p99_response_us",
+            "stats.erase_blocks",
+            "n_channels",
+            "makespan_us",
+            "mean_channel_utilization",
+            "mean_retry_rounds",
+            "uncorrectable_reads",
+            "uncorrectable_rate",
+        ]
         assert summary["n_channels"] == 2
         assert summary["makespan_us"] == 100.0

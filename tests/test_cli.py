@@ -33,12 +33,52 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
-    @pytest.mark.parametrize("command", ["simulate", "trace", "explain"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate"],
+            ["trace"],
+            ["explain"],
+            ["crash"],
+            ["channel"],
+            ["monitor"],
+            ["profile"],
+            ["metrics", "ls"],
+        ],
+        ids=lambda command: command[0],
+    )
     def test_unknown_engine_exits_nonzero(self, command, capsys):
-        argv = [command, "fin-2", "--engine", "nope", "--requests", "10"]
+        """There is one engine: ``--engine`` is no option of any command."""
+        argv = [*command, "fin-2", "--engine", "des", "--requests", "10"]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code != 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "fin-2"],
+            ["crash", "fin-2", "--at-us", "1000"],
+            ["profile", "fin-2"],
+            ["explain", "fin-2"],
+            ["monitor", "fin-2"],
+            ["serve"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_exits_2(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--requests", "50", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be non-negative" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "crash"])
+    def test_negative_spo_rate_exits_2(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "fin-2", "--requests", "50", "--spo-rate", "-1"]
+        assert main(argv) == 2
+        assert "negative SPO rate_per_s" in capsys.readouterr().err
 
 
 class TestSimulateJson:
@@ -47,8 +87,6 @@ class TestSimulateJson:
             [
                 "simulate",
                 "fin-2",
-                "--engine",
-                "des",
                 "--json",
                 "--requests",
                 "1200",
@@ -162,8 +200,6 @@ class TestExplainCommand:
             [
                 "explain",
                 "fin-2",
-                "--engine",
-                "des",
                 "--requests",
                 "1200",
                 "--blocks",

@@ -101,3 +101,7 @@ class TestValidation:
     def test_rejects_zero_requests(self):
         with pytest.raises(ConfigurationError):
             make_workload().generate(0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+            make_workload().generate(10, seed=-1)
