@@ -1,13 +1,15 @@
-"""Channel-telemetry overhead: events/sec with and without the sink.
+"""Channel-telemetry overhead: requests/sec with and without the sink.
 
 The media telemetry (docs/CHANNEL.md) promises that attaching a
 :class:`repro.obs.channel.ChannelTelemetry` costs a handful of scalar
 array updates plus one binomial draw per flash read — cheap enough to
 leave on for any observability run.  This bench pins that promise: the
-DES engine's wall events/sec with telemetry attached must stay within
+DES engine's wall requests/sec with telemetry attached must stay within
 a few percent of the detached run, and the simulated event counts must
 be byte-identical (the estimator never touches simulation RNG
-streams).
+streams).  Both wall rates are gated higher-is-better in the same wide
+band, so a host faster than the recorded one never reads as a
+regression.
 
 Best-of-N minimum wall timing, same as the event-loop throughput
 bench: the minimum is the least noisy estimator on a busy runner.
@@ -32,6 +34,10 @@ ROUNDS = 2 if QUICK else 3
 #: tiny traces are noisier, so the in-test assertion widens there while
 #: the ledger still records the measured ratio for the cross-PR gate.
 OVERHEAD_BUDGET = 0.25 if QUICK else 0.10
+
+#: Relative flat band for the wall-throughput rates: runners differ by
+#: far more than telemetry changes do.
+WALL_TOLERANCE = 0.60
 
 
 def _build_engine(policy, telemetry):
@@ -92,24 +98,24 @@ def test_channel_telemetry_overhead(
         run_overhead, args=(shared_policy,), rounds=1, iterations=1
     )
     off, on = best["off"], best["on"]
-    ratio = on.wall_events_per_s() / off.wall_events_per_s()
+    ratio = on.wall_requests_per_s() / off.wall_requests_per_s()
 
     lines = [
         f"{WORKLOAD}, {N_REQUESTS} requests, best of {ROUNDS} runs",
         "",
-        f"{'telemetry':10s} {'events':>9s} {'loop s':>8s} {'events/s':>10s}",
+        f"{'telemetry':10s} {'events':>9s} {'loop s':>8s} {'requests/s':>11s}",
         f"{'off':10s} {off.wall_events:9d} {off.wall_loop_s:8.3f} "
-        f"{off.wall_events_per_s():10.0f}",
+        f"{off.wall_requests_per_s():11.0f}",
         f"{'on':10s} {on.wall_events:9d} {on.wall_loop_s:8.3f} "
-        f"{on.wall_events_per_s():10.0f}",
+        f"{on.wall_requests_per_s():11.0f}",
         "",
         f"attached/detached throughput ratio: {ratio:.3f}",
     ]
     write_table(results_dir, "channel_telemetry", lines)
 
     metrics = {
-        "events_per_s_off": off.wall_events_per_s(),
-        "events_per_s_on": on.wall_events_per_s(),
+        "requests_per_s_off": off.wall_requests_per_s(),
+        "requests_per_s_on": on.wall_requests_per_s(),
         "throughput_ratio": ratio,
         # Determinism pins: identical event counts with and without the
         # sink, and same-seed telemetry runs share one fingerprint.
@@ -117,7 +123,8 @@ def test_channel_telemetry_overhead(
         "events_total_on": float(on.wall_events),
     }
     specs = {
-        "events_per_s_on": {"direction": "higher", "tolerance": 0.60},
+        "requests_per_s_off": {"direction": "higher", "tolerance": WALL_TOLERANCE},
+        "requests_per_s_on": {"direction": "higher", "tolerance": WALL_TOLERANCE},
         "throughput_ratio": {"direction": "higher", "tolerance": 0.20},
     }
     bench_case.emit(metrics, specs, table="channel_telemetry")

@@ -33,10 +33,18 @@ back (:meth:`run_source`).  :meth:`run` wraps a fixed record list in a
 :class:`~repro.sim.des.ingress.TraceSource`; the multi-tenant serving
 front-end (:mod:`repro.serve`) plugs in a live queue-pair source whose
 arrival process depends on completions and QoS scheduling decisions.
+
+Events: the heap carries only what changes engine state — one
+``ARRIVAL`` and one ``REQUEST_COMPLETE`` per request.  A request's page
+operations are admitted, serviced and committed onto their channels'
+frontiers when it is dispatched, and background GC drains into idle
+gaps at admission, so neither needs an event of its own; the request
+completes when the last of its channels' frontiers is reached.
 """
 
 from __future__ import annotations
 
+import math
 from time import perf_counter
 from typing import Iterable
 
@@ -54,15 +62,16 @@ from repro.sim.des.scheduler import ChannelScheduler
 from repro.sim.results import DesSimulationResult
 from repro.traces.schema import TraceRecord
 
+_ARRIVAL = EventKind.ARRIVAL
+_REQUEST_COMPLETE = EventKind.REQUEST_COMPLETE
+
 #: Sentinel for the default (enabled, default-config) retry model.
 _DEFAULT_RETRY = object()
 
 #: Profiler section key per event kind (precomputed: the loop is hot).
 _EVENT_KEYS = {
     EventKind.ARRIVAL: "event.arrival",
-    EventKind.OP_COMPLETE: "event.op_complete",
     EventKind.REQUEST_COMPLETE: "event.request_complete",
-    EventKind.GC_DRAIN: "event.gc_drain",
 }
 
 
@@ -226,16 +235,20 @@ class DesSimulationEngine:
         if first is None:
             raise ConfigurationError("request source produced no requests")
         pending: dict[int, PendingRequest] = {first.index: first}
-        heap.push(self._arrival_event(first))
+        heap.push(Event(first.record.timestamp_us, _ARRIVAL, first.index))
         source_blocked = False
         recorder = self.recorder
         if recorder is not None:
             self.system.ssd.window_recorder = recorder
         if self.channel_telemetry is not None:
             self.system.ssd.channel_telemetry = self.channel_telemetry
+        # At a power cut the observers are advanced to the device's
+        # last activity before it, page-op completions and GC drains
+        # included; without a recorder nothing observes that instant.
+        cut_us = crash_us if recorder is not None else None
+        last_activity_us = -math.inf
 
         ops_dispatched = 0
-        ops_completed = 0
         requests_completed = 0
         inflight = 0
         origin_us = first.record.timestamp_us
@@ -243,16 +256,16 @@ class DesSimulationEngine:
         profiler = self.profiler
         crashed = False
         loop_t0 = perf_counter()
-        while len(heap):
+        while heap:
             if profiler is not None:
                 iter_t0 = profiler.clock()
-            event = heap.pop()
-            if crash_us is not None and event.time_us >= crash_us:
+            time_us, kind, index, response_us = heap.pop()
+            if crash_us is not None and time_us >= crash_us:
                 # Sudden power-off: nothing at or after the cut happens.
                 crashed = True
                 break
             if profiler is not None:
-                profiler.begin(_EVENT_KEYS[event.kind], iter_t0)
+                profiler.begin(_EVENT_KEYS[kind], iter_t0)
             if recorder is not None:
                 # Virtual time is monotone over popped events, and no
                 # observation is ever recorded before the current event
@@ -260,58 +273,58 @@ class DesSimulationEngine:
                 # consumers (the health monitor) may close them now.
                 # The source flushes its between-poll observations
                 # (queue-pair submissions stamped at submit time) first.
-                source.advance_to(event.time_us)
-                recorder.advance(event.time_us)
-            if event.kind is EventKind.ARRIVAL:
-                index = event.request_index
+                source.advance_to(time_us)
+                recorder.advance(time_us)
+            if kind is _ARRIVAL:
+                request = pending[index]
                 if recorder is not None:
                     inflight += 1
-                    recorder.add("sim.arrivals", event.time_us)
-                    recorder.sample(
-                        "sim.inflight_requests", event.time_us, inflight
-                    )
-                ops_dispatched += self._dispatch(
-                    pending[index], scheduler, heap, result, warmup_count
+                    recorder.add("sim.arrivals", time_us)
+                    recorder.sample("sim.inflight_requests", time_us, inflight)
+                ops_dispatched += request.record.n_pages
+                activity_us = self._dispatch(
+                    request, scheduler, heap, result, warmup_count, cut_us
                 )
-                nxt = source.next_request(event.time_us)
+                if activity_us > last_activity_us:
+                    last_activity_us = activity_us
+                nxt = source.next_request(time_us)
                 if nxt is not None:
                     pending[nxt.index] = nxt
-                    heap.push(self._arrival_event(nxt))
+                    heap.push(Event(nxt.record.timestamp_us, _ARRIVAL, nxt.index))
                 source_blocked = nxt is None
-            elif event.kind is EventKind.OP_COMPLETE:
-                ops_completed += 1
-            elif event.kind is EventKind.REQUEST_COMPLETE:
+            else:  # REQUEST_COMPLETE
                 requests_completed += 1
-                last_completion_us = event.time_us
+                last_completion_us = time_us
                 if recorder is not None:
                     inflight -= 1
-                    recorder.sample(
-                        "sim.inflight_requests", event.time_us, inflight
-                    )
+                    recorder.sample("sim.inflight_requests", time_us, inflight)
                     recorder.sample(
                         "sim.degraded.read_only",
-                        event.time_us,
+                        time_us,
                         float(self.system.ssd.read_only),
                     )
-                    recorder.sample(
-                        "sim.response_us", event.time_us, event.value_us
-                    )
-                done = pending.pop(event.request_index)
-                if event.request_index >= warmup_count:
-                    result.record(done.record.is_write, event.value_us)
-                source.on_complete(
-                    event.request_index, event.time_us, event.value_us
-                )
+                    recorder.sample("sim.response_us", time_us, response_us)
+                done = pending.pop(index)
+                if index >= warmup_count:
+                    result.record(done.record.is_write, response_us)
+                source.on_complete(index, time_us, response_us)
                 if source_blocked:
-                    nxt = source.next_request(event.time_us)
+                    nxt = source.next_request(time_us)
                     if nxt is not None:
                         pending[nxt.index] = nxt
-                        heap.push(self._arrival_event(nxt))
+                        heap.push(
+                            Event(nxt.record.timestamp_us, _ARRIVAL, nxt.index)
+                        )
                         source_blocked = False
-            # GC_DRAIN events are observational; no state to update.
             if profiler is not None:
                 profiler.end()
         loop_s = perf_counter() - loop_t0
+        if crashed and last_activity_us > -math.inf:
+            # Channels may have kept working past the last event before
+            # the cut: advance the observers to their last activity
+            # (a no-op if an event already took them further).
+            source.advance_to(last_activity_us)
+            recorder.advance(last_activity_us)
         if recorder is not None:
             recorder.flush()
 
@@ -332,8 +345,7 @@ class DesSimulationEngine:
             result.aborted_requests = aborted
         else:
             self._check_conservation(
-                source.emitted, requests_completed, ops_dispatched,
-                ops_completed, scheduler,
+                source.emitted, requests_completed, ops_dispatched, scheduler
             )
         result.channel_busy_us = scheduler.busy_times_us()
         result.makespan_us = max(last_completion_us - origin_us, 0.0)
@@ -371,14 +383,6 @@ class DesSimulationEngine:
 
     # --- internals ------------------------------------------------------------------
 
-    @staticmethod
-    def _arrival_event(pending: PendingRequest) -> Event:
-        return Event(
-            time_us=pending.record.timestamp_us,
-            kind=EventKind.ARRIVAL,
-            request_index=pending.index,
-        )
-
     def _dispatch(
         self,
         pending: PendingRequest,
@@ -386,25 +390,33 @@ class DesSimulationEngine:
         heap: EventHeap,
         result: DesSimulationResult,
         warmup_count: int,
-    ) -> int:
+        cut_us: float | None,
+    ) -> float:
         """Split a request into page ops, route them, commit service.
 
-        Returns the number of page operations dispatched.  Service
-        starts no earlier than ``pending.record.timestamp_us`` (the
-        dispatch time); the response and the trace root are measured
-        from ``pending.t0_us`` (the submission time), so ingress-side
-        queueing shows up as queue wait.
+        Schedules the request's completion at the latest frontier of
+        the channels it touched.  Service starts no earlier than
+        ``pending.record.timestamp_us`` (the dispatch time); the
+        response and the trace root are measured from ``pending.t0_us``
+        (the submission time), so ingress-side queueing shows up as
+        queue wait.
+
+        Returns the latest instant before ``cut_us`` at which a page op
+        completed or a GC drain started (``-inf`` if none, or if
+        ``cut_us`` is ``None``).
         """
         record = pending.record
         index = pending.index
         arrival = record.timestamp_us
         t0 = pending.t0_us
         footprint = self.system.config.footprint_pages
+        channel_of = self.system.ssd.channel_of
+        n_channels = self.n_channels
         ops_by_channel: dict[int, list[int]] = {}
         for lpn in record.pages():
             if footprint:
                 lpn %= footprint
-            channel = self.system.ssd.channel_of(lpn, self.n_channels)
+            channel = channel_of(lpn, n_channels)
             ops_by_channel.setdefault(channel, []).append(lpn)
 
         trace: Span | None = None
@@ -423,9 +435,11 @@ class DesSimulationEngine:
                 profiler.end()
 
         completion = arrival
-        dispatched = 0
+        activity_us = -math.inf
         first_op_start: float | None = None
         recorder = self.recorder
+        telemetry = self.channel_telemetry
+        service_us = self._service_us
         for channel, lpns in ops_by_channel.items():
             if profiler is not None:
                 profiler.begin("phase.gc")
@@ -433,14 +447,8 @@ class DesSimulationEngine:
             if profiler is not None:
                 profiler.end()
             if report.drained_us + report.stall_us > 0.0:
-                heap.push(
-                    Event(
-                        time_us=report.start_us,
-                        kind=EventKind.GC_DRAIN,
-                        channel=channel,
-                        value_us=report.drained_us + report.stall_us,
-                    )
-                )
+                if cut_us is not None and activity_us < report.start_us < cut_us:
+                    activity_us = report.start_us
                 if recorder is not None:
                     # Background work is binned at the admitting
                     # request's service start, not spread across the
@@ -459,23 +467,15 @@ class DesSimulationEngine:
                     ).end(report.start_us)
             start = report.start_us
             for lpn in lpns:
-                service, breakdown, rounds, uncorrectable = self._service_us(
+                service, breakdown, rounds, uncorrectable = service_us(
                     record, lpn, start, index, warmup_count, result, channel
                 )
                 op_done = scheduler.commit(channel, service)
                 op_start = op_done - service
                 if first_op_start is None or op_start < first_op_start:
                     first_op_start = op_start
-                heap.push(
-                    Event(
-                        time_us=op_done,
-                        kind=EventKind.OP_COMPLETE,
-                        request_index=index,
-                        channel=channel,
-                        value_us=service,
-                    )
-                )
-                dispatched += 1
+                if cut_us is not None and activity_us < op_done < cut_us:
+                    activity_us = op_done
                 if recorder is not None:
                     recorder.add(f"sim.channel.{channel}.ops", op_start)
                     recorder.add(
@@ -489,7 +489,6 @@ class DesSimulationEngine:
                             )
                         if uncorrectable:
                             recorder.add("sim.uncorrectable.reads", op_start)
-                telemetry = self.channel_telemetry
                 if (
                     telemetry is not None
                     and breakdown is not None
@@ -545,21 +544,16 @@ class DesSimulationEngine:
                     )
                     if profiler is not None:
                         profiler.end()
-            completion = max(completion, scheduler.frontier(channel))
+            # The channel's frontier is now its last op's completion.
+            if op_done > completion:
+                completion = op_done
 
         if profiler is not None:
             profiler.begin("phase.gc")
         scheduler.add_background(self.system.take_background_us())
         if profiler is not None:
             profiler.end()
-        heap.push(
-            Event(
-                time_us=completion,
-                kind=EventKind.REQUEST_COMPLETE,
-                request_index=index,
-                value_us=completion - t0,
-            )
-        )
+        heap.push(Event(completion, _REQUEST_COMPLETE, index, completion - t0))
         queue_wait = (
             max(0.0, first_op_start - t0) if first_op_start is not None else 0.0
         )
@@ -574,7 +568,7 @@ class DesSimulationEngine:
                 profiler.end()
         if self.registry is not None and index >= warmup_count:
             self.registry.histogram("sim.queue_wait_us").observe(queue_wait)
-        return dispatched
+        return activity_us
 
     def _service_us(
         self,
@@ -743,16 +737,11 @@ class DesSimulationEngine:
         n_requests: int,
         requests_completed: int,
         ops_dispatched: int,
-        ops_completed: int,
         scheduler: ChannelScheduler,
     ) -> None:
         if requests_completed != n_requests:
             raise SimulationError(
                 f"{requests_completed} of {n_requests} requests completed"
-            )
-        if ops_completed != ops_dispatched:
-            raise SimulationError(
-                f"{ops_completed} of {ops_dispatched} page ops completed"
             )
         if scheduler.total_ops_committed != ops_dispatched:
             raise SimulationError(

@@ -5,13 +5,18 @@ popped in virtual-time order.  The heap enforces the core DES
 invariant — virtual time never runs backwards — and ties are broken by
 insertion order so simultaneous events (a completion and an arrival at
 the same microsecond) replay deterministically.
+
+Only events that change engine state are scheduled: a request's
+arrival and its completion.  Page-operation completions and background
+GC drains are decided at dispatch and live in the channel scheduler's
+frontiers, so every request costs exactly two heap events.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from repro.errors import SimulationError
 
@@ -20,13 +25,10 @@ class EventKind(Enum):
     """What happened at an event's timestamp."""
 
     ARRIVAL = "arrival"
-    OP_COMPLETE = "op-complete"
     REQUEST_COMPLETE = "request-complete"
-    GC_DRAIN = "gc-drain"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One timestamped simulation event.
 
     Attributes
@@ -36,36 +38,34 @@ class Event:
     kind:
         Event type.
     request_index:
-        Trace index of the request this event belongs to (-1 for
-        channel-local events like GC drains).
-    channel:
-        Channel the event happened on (-1 for request-level events).
+        Emission index of the request this event belongs to.
     value_us:
-        Kind-specific payload: the response time for
-        ``REQUEST_COMPLETE``, the service time for ``OP_COMPLETE``, the
-        drained background work for ``GC_DRAIN``.
+        The response time for ``REQUEST_COMPLETE``; unused for
+        ``ARRIVAL``.
     """
 
     time_us: float
     kind: EventKind
     request_index: int = -1
-    channel: int = -1
     value_us: float = 0.0
 
 
-@dataclass
 class EventHeap:
     """Min-heap of events keyed on (virtual time, insertion order).
 
-    :meth:`pop` raises :class:`~repro.errors.SimulationError` if an
-    event would move virtual time backwards — the invariant every DES
-    conservation test leans on.
+    :meth:`push` and :meth:`pop` raise
+    :class:`~repro.errors.SimulationError` if an event would move
+    virtual time backwards — the invariant every DES conservation test
+    leans on.
     """
 
-    _heap: list[tuple[float, int, Event]] = field(default_factory=list)
-    _sequence: int = 0
-    now_us: float = 0.0
-    popped: int = 0
+    __slots__ = ("_heap", "_sequence", "now_us", "popped")
+
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int, Event]] = []
+        self._sequence = 0
+        self.now_us = 0.0
+        self.popped = 0
 
     def __len__(self) -> int:
         return len(self._heap)

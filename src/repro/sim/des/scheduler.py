@@ -86,10 +86,6 @@ class ChannelScheduler:
         state.ops_committed += 1
         return state.frontier_us
 
-    def frontier(self, channel: int) -> float:
-        """When the channel finishes all committed work."""
-        return self.channels[channel].frontier_us
-
     def add_background(self, total_us: float) -> None:
         """Spread new background (GC) work evenly across channels."""
         if total_us < 0:

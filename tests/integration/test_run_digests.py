@@ -16,6 +16,14 @@ flip a digest, while any behavioural change still does.
 ``simulate``/``crash``/``profile``/``monitor``/``explain`` commands bit
 for bit (``float.hex`` digests, artifact fingerprints and file hashes),
 as recorded while a separate single-queue engine still existed.
+
+:class:`TestObserverDigests` pins runs with every observer attached: a
+DES run with a windowed recorder, health monitor, channel telemetry,
+registry and tracer; a serve run with its recorder and monitor, crash
+free and cut; and a ``run_with_crashes`` sweep on one and four
+channels.  Observers are advanced with the event loop's virtual time,
+so these digests pin *when* queue-pair submissions flush and windows
+close, not only what the simulation computed.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from repro.__main__ import main
 from repro.analysis.calibration import calibrated_analyzer
@@ -42,13 +51,21 @@ from repro.ecc.ldpc import (
 )
 from repro.core.level_adjust import CellMode
 from repro.errors import DecodingFailure
-from repro.faults import FaultConfig, FaultInjector
+from repro.faults import FaultConfig, FaultInjector, PowerConfig
 from repro.ftl.config import SsdConfig
 from repro.ftl.recovery import RecoveryConfig, RecoveryManager, recovery_fingerprint
 from repro.ftl.ssd import Ssd
 from repro.ftl.wear_leveling import WearLeveler
-from repro.serve import ServeEngine, parse_mix
-from repro.sim import DesSimulationEngine
+from repro.obs import (
+    HealthMonitor,
+    MetricsRegistry,
+    MonitorConfig,
+    Tracer,
+    WindowedRecorder,
+)
+from repro.obs.channel import ChannelTelemetry
+from repro.serve import ServeEngine, build_artifact, parse_mix
+from repro.sim import DesSimulationEngine, run_with_crashes
 from repro.traces.workloads import make_workload
 
 #: Digests recorded on the implementation before the read-path lookups.
@@ -72,6 +89,16 @@ CRASH_FINGERPRINT = "10de2958893a6d7d"
 PROFILE_FINGERPRINT = "c0f421fd8f8ff436"
 MONITOR_DIGEST = "6708e038c7804d3f"
 EXPLAIN_DIGEST = "aa3c8cd702f304c0"
+#: Recorded with the observers advanced on every page-op completion and
+#: GC drain event.
+OBSERVED_DES_DIGEST = "b0704d22c80c36e4"
+OBSERVED_SERVE_DIGESTS = {
+    None: "f7a00b19ac6dc75d",
+    150_000.0: "b7ed03a4cdeab57d",
+    480_000.0: "26b72bb6608fe286",
+    910_000.0: "8e2a951135c24ffd",
+}
+CRASH_SWEEP_DIGESTS = {1: "727bc42b63ee0b91", 4: "3bcb02d2abdfb11d"}
 #: Summary keys only a multi-channel retry model reports; the
 #: single-queue digest covers every other key.
 DES_ONLY_KEYS = frozenset(
@@ -105,6 +132,21 @@ def hex_digest(payload: dict) -> str:
     }
     text = json.dumps(canonical, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def json_digest(*bodies) -> str:
+    """16-hex-digit SHA-256 of JSON bodies (floats by ``repr``: bit-exact)."""
+    text = json.dumps(bodies, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _virtual_metrics(registry: MetricsRegistry) -> dict:
+    """The registry snapshot without its wall-clock gauges."""
+    return {
+        key: value
+        for key, value in registry.snapshot().items()
+        if not key.startswith("sim.wall.")
+    }
 
 
 def _file_digest(path) -> str:
@@ -149,11 +191,9 @@ def serve_run():
     return engine.run(), system
 
 
-def gc_des_run():
-    """LevelAdjust-only on prj-1 through DES at 64 blocks: every write
-    lands in reduced mode, so GC runs on most writes (write
-    amplification ~6.5)."""
-    ssd = SsdConfig(n_blocks=64, pages_per_block=64, over_provisioning=0.35)
+def _gc_heavy_config(n_blocks: int = 64):
+    """prj-1 on a drive whose reduced-mode writes keep GC busy."""
+    ssd = SsdConfig(n_blocks=n_blocks, pages_per_block=64, over_provisioning=0.35)
     workload = make_workload("prj-1", ssd.logical_pages)
     config = SystemConfig(
         ssd=ssd,
@@ -161,6 +201,14 @@ def gc_des_run():
         buffer_pages=32,
         hotness_window=64,
     )
+    return config, workload
+
+
+def gc_des_run():
+    """LevelAdjust-only on prj-1 through DES at 64 blocks: every write
+    lands in reduced mode, so GC runs on most writes (write
+    amplification ~6.5)."""
+    config, workload = _gc_heavy_config()
     system = build_system("leveladjust-only", config, level_adjust=LevelAdjustPolicy())
     records = workload.generate(4000, seed=5)
     engine = DesSimulationEngine(system, n_channels=4)
@@ -415,3 +463,126 @@ class TestCommandGoldens:
         out = tmp_path / "explain.json"
         _cli(capsys, "explain", "fin-2", *self.common, "--out", str(out))
         assert _file_digest(out) == EXPLAIN_DIGEST
+
+
+#: Narrow windows: many closes per run, so a shifted close shows.
+OBSERVER_WINDOW_US = 250.0
+
+
+def observed_des_run() -> str:
+    """GC-heavy, fault-injected DES run with every observer attached."""
+    config, workload = _gc_heavy_config()
+    faults = FaultConfig(enabled=True, seed=9).scaled(100.0)
+    system = build_system(
+        "leveladjust-only",
+        config,
+        level_adjust=LevelAdjustPolicy(),
+        fault_injector=FaultInjector(faults),
+    )
+    registry = MetricsRegistry()
+    tracer = Tracer(sample_every=1, keep_slowest=0)
+    recorder = WindowedRecorder(window_us=OBSERVER_WINDOW_US)
+    monitor = HealthMonitor(
+        recorder,
+        registry=registry,
+        tracer=tracer,
+        config=MonitorConfig(slo_us=2000.0, warmup_windows=4),
+    ).attach()
+    telemetry = ChannelTelemetry(
+        config.ssd.n_blocks, page_bits=config.ssd.page_size_bytes * 8, seed=4
+    )
+    engine = DesSimulationEngine(
+        system,
+        n_channels=4,
+        registry=registry,
+        tracer=tracer,
+        recorder=recorder,
+        channel_telemetry=telemetry,
+    )
+    result = engine.run(workload.generate(1500, seed=8), workload_name="prj-1")
+    assert monitor.n_alerts > 0
+    return json_digest(
+        result.summary(),
+        recorder.to_dict(),
+        monitor.to_dict(),
+        telemetry.to_dict(),
+        _virtual_metrics(registry),
+    )
+
+
+def observed_serve_run(crash_us: float | None) -> str:
+    """``repro serve`` with its recorder and monitor, optionally cut."""
+    system = _flexlevel(buffer_pages=64)
+    specs = parse_mix("fin-2:3,fin-2:1:10", n_requests=200, slo_us=2000.0)
+    registry = MetricsRegistry()
+    recorder = WindowedRecorder(window_us=OBSERVER_WINDOW_US)
+    engine = ServeEngine(
+        system,
+        specs,
+        seed=11,
+        scheduler="wfq",
+        n_channels=4,
+        registry=registry,
+        recorder=recorder,
+        monitor_config=MonitorConfig(warmup_windows=4),
+    )
+    result = engine.run(crash_us=crash_us)
+    assert result.sim.crashed == (crash_us is not None)
+    return json_digest(
+        build_artifact(result),
+        recorder.to_dict(),
+        result.monitor.to_dict(),
+        _virtual_metrics(registry),
+    )
+
+
+#: Power cuts of the crash sweep (virtual us).
+CRASH_CUTS_US = (150_000.0, 1_234_567.0, 2_900_000.5, 4_400_000.0)
+
+
+def crash_sweep(n_channels: int) -> str:
+    """``run_with_crashes`` at each cut, with a recorder and monitor."""
+    config, workload = _gc_heavy_config(n_blocks=48)
+    records = workload.generate(1200, seed=6)
+    digests = []
+    for cut_us in CRASH_CUTS_US:
+        registry = MetricsRegistry()
+        recorder = WindowedRecorder(window_us=OBSERVER_WINDOW_US)
+        monitor = HealthMonitor(recorder, registry=registry).attach()
+        run = run_with_crashes(
+            "leveladjust-only",
+            config,
+            records,
+            PowerConfig(enabled=True, at_us=cut_us),
+            n_channels=n_channels,
+            retry=n_channels > 1,
+            workload_name="prj-1",
+            registry=registry,
+            recorder=recorder,
+        )
+        assert run.crashes == 1
+        digests.append(
+            json_digest(
+                run.to_dict(),
+                run.final.summary(),
+                recorder.to_dict(),
+                monitor.to_dict(),
+                _virtual_metrics(registry),
+            )
+        )
+    return json_digest(digests)
+
+
+class TestObserverDigests:
+    """Observer-attached runs, pinned byte for byte."""
+
+    def test_observed_des_run_is_unchanged(self):
+        assert observed_des_run() == OBSERVED_DES_DIGEST
+
+    @pytest.mark.parametrize("crash_us", sorted(OBSERVED_SERVE_DIGESTS, key=str))
+    def test_observed_serve_run_is_unchanged(self, crash_us):
+        assert observed_serve_run(crash_us) == OBSERVED_SERVE_DIGESTS[crash_us]
+
+    @pytest.mark.parametrize("n_channels", [1, 4])
+    def test_crash_sweep_is_unchanged(self, n_channels):
+        assert crash_sweep(n_channels) == CRASH_SWEEP_DIGESTS[n_channels]

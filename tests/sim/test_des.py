@@ -16,7 +16,9 @@ from repro.sim import (
     ReadRetryModel,
     RetryOutcome,
 )
+from repro.obs import Tracer, WindowedRecorder
 from repro.sim.des.events import Event, EventHeap, EventKind
+from repro.sim.des.ingress import TraceSource
 from repro.sim.des.scheduler import ChannelScheduler
 from repro.traces.schema import TraceRecord
 from tests.sim.reference import run_single_queue
@@ -213,6 +215,168 @@ class TestLegacyEquivalence:
             return engine.run(trace, "t").mean_response_us()
 
         assert mean(4) < mean(1)
+
+
+def write_heavy_trace(n):
+    """Multi-page requests, four in five writes: GC runs on a 64-block drive."""
+    return [
+        TraceRecord(i * 120.0, (i * 29) % 300, 1 + i % 4, i % 5 != 0)
+        for i in range(n)
+    ]
+
+
+def single_queue(**observers):
+    """One channel, no retry, on a fresh GC-heavy baseline drive."""
+    return DesSimulationEngine(
+        gc_heavy_system("baseline"),
+        warmup_fraction=0.0,
+        n_channels=1,
+        retry_model=None,
+        **observers,
+    )
+
+
+class RecordingSource(TraceSource):
+    """A trace source that logs the engine's observer advances and aborts."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        self.advanced: list[float] = []
+        self.aborted: list[int] = []
+
+    def advance_to(self, now_us: float) -> None:
+        self.advanced.append(now_us)
+
+    def on_abort(self, index: int) -> None:
+        self.aborted.append(index)
+
+
+class TestEventLoop:
+    """Only arrivals and request completions reach the heap."""
+
+    def test_event_kinds_are_arrival_and_request_complete(self):
+        assert set(EventKind) == {EventKind.ARRIVAL, EventKind.REQUEST_COMPLETE}
+
+    def test_crash_free_run_pops_two_events_per_request(self):
+        trace = write_heavy_trace(600)
+        result = DesSimulationEngine(
+            gc_heavy_system("flexlevel"), warmup_fraction=0.0, n_channels=4
+        ).run(trace, "t")
+        assert result.stats["erase_blocks"] > 0
+        assert result.wall_requests == len(trace)
+        assert result.wall_events == 2 * result.wall_requests
+
+    def test_no_page_level_event_reaches_the_heap(self, monkeypatch):
+        pushed: list[Event] = []
+        push = EventHeap.push
+
+        def recording_push(heap, event):
+            pushed.append(event)
+            push(heap, event)
+
+        monkeypatch.setattr(EventHeap, "push", recording_push)
+        trace = [
+            TraceRecord(i * 150.0, (i * 13) % 80, 1 + i % 4, i % 3 == 0)
+            for i in range(120)
+        ]
+        DesSimulationEngine(
+            gc_heavy_system("flexlevel"), warmup_fraction=0.0, n_channels=4
+        ).run(trace, "t")
+        assert sum(record.n_pages for record in trace) > 2 * len(trace)
+        for kind in EventKind:
+            indices = [event.request_index for event in pushed if event.kind is kind]
+            assert sorted(indices) == list(range(len(trace)))
+        assert len(pushed) == 2 * len(trace)
+
+    def test_fault_injected_gc_heavy_run_conserves(self):
+        """GC, program/erase failures and the read-only fallback in one
+        run; it ends in ``_check_conservation``: every request completed
+        and the scheduler committed every dispatched page op."""
+        from repro.faults import FaultConfig, FaultInjector
+
+        ssd = SsdConfig(
+            n_blocks=64, pages_per_block=16, gc_free_block_threshold=2,
+            initial_pe_cycles=16000,
+        )
+        config = SystemConfig(
+            ssd=ssd, footprint_pages=int(ssd.logical_pages * 0.4), buffer_pages=8
+        )
+        faults = FaultConfig(enabled=True, seed=5, initial_bad_block_rate=0.0)
+        system = build_system(
+            "leveladjust-only", config, level_adjust=LevelAdjustPolicy(),
+            fault_injector=FaultInjector(faults.scaled(20)),
+        )
+        trace = write_heavy_trace(600)
+        result = DesSimulationEngine(
+            system, warmup_fraction=0.0, n_channels=4
+        ).run(trace, "t")
+        stats = system.ssd.stats
+        assert stats.erase_blocks > 50
+        assert stats.program_fail_events > 0 and stats.erase_fail_events > 0
+        assert system.ssd.read_only and stats.rejected_writes > 0
+        assert result.wall_requests == len(trace)
+
+    def test_conservation_catches_a_lost_op(self):
+        scheduler = ChannelScheduler(n_channels=2, gc_granule_us=100.0)
+        scheduler.commit(0, 10.0)
+        scheduler.commit(1, 10.0)
+        DesSimulationEngine._check_conservation(1, 1, 2, scheduler)
+        with pytest.raises(SimulationError, match="committed 2 ops"):
+            DesSimulationEngine._check_conservation(1, 1, 3, scheduler)
+        with pytest.raises(SimulationError, match="requests completed"):
+            DesSimulationEngine._check_conservation(2, 1, 2, scheduler)
+
+    def test_crash_between_op_and_request_completion(self):
+        """A cut after a request's second page op completed but before
+        its last one: both requests in flight abort, and the observers
+        stand at that second completion, the channel's last activity
+        before the cut."""
+        trace = [TraceRecord(0.0, 10, 4, False), TraceRecord(1.0, 40, 2, True)]
+        tracer = Tracer(sample_every=1, keep_slowest=0)
+        single_queue(tracer=tracer).run(trace, "t")
+        root = next(span for span in tracer.spans if span.attrs["index"] == 0)
+        op_ends = sorted(
+            child.end_us for child in root.children if child.name != "queue_wait"
+        )
+        assert len(op_ends) == 4 and op_ends[1] < op_ends[2]
+        cut_us = (op_ends[1] + op_ends[2]) / 2.0
+
+        source = RecordingSource(trace)
+        result = single_queue(recorder=WindowedRecorder(window_us=10.0)).run_source(
+            source, "t", crash_us=cut_us
+        )
+        assert result.crashed and result.aborted_requests == 2
+        assert source.aborted == [0, 1]
+        assert result.n_requests == 0
+        assert source.advanced[-1] == op_ends[1]
+
+    def test_crash_inside_a_gc_stall_reaches_the_drain(self):
+        """A cut after a GC stall ended but before the stalled request's
+        first op completed: the observers stand at the stall's end, where
+        the drain handed the channel back."""
+        trace = write_heavy_trace(400)
+        tracer = Tracer(sample_every=1, keep_slowest=0)
+        single_queue(tracer=tracer).run(trace, "t")
+        arrivals = [record.timestamp_us for record in trace]
+        for root in tracer.spans:
+            stalls = [c for c in root.children if c.name == "gc_stall"]
+            ops = [c for c in root.children if c.name not in ("gc_stall", "queue_wait")]
+            if not stalls or ops[0].end_us <= stalls[0].end_us:
+                continue
+            cut_us = (stalls[0].end_us + ops[0].end_us) / 2.0
+            # No arrival event between the drain and the cut.
+            if not any(stalls[0].end_us < t < cut_us for t in arrivals):
+                break
+        else:
+            pytest.fail("no GC stall to cut into")
+
+        source = RecordingSource(trace)
+        result = single_queue(recorder=WindowedRecorder(window_us=10.0)).run_source(
+            source, "t", crash_us=cut_us
+        )
+        assert result.crashed
+        assert source.aborted[0] == root.attrs["index"]
+        assert source.advanced[-1] == stalls[0].end_us
 
 
 class TestReadRetry:
