@@ -20,7 +20,12 @@ from conftest import BENCH_SEED, QUICK, write_table
 from repro.baselines.systems import SystemConfig, build_system
 from repro.ftl.config import SsdConfig
 from repro.obs.channel import ChannelTelemetry
-from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel
+from repro.sim import (
+    DesSimulationEngine,
+    ReadRetryConfig,
+    ReadRetryModel,
+    observe,
+)
 from repro.traces.workloads import make_workload
 
 WORKLOAD = "fin-2"
@@ -57,7 +62,7 @@ def _build_engine(policy, telemetry):
         warmup_fraction=0.25,
         n_channels=N_CHANNELS,
         retry_model=ReadRetryModel(ReadRetryConfig(seed=2015)),
-        channel_telemetry=telemetry,
+        observers=observe(channel_telemetry=telemetry),
     )
     return engine, trace
 

@@ -25,7 +25,12 @@ from conftest import BENCH_SEED, BENCH_WORKLOADS, QUICK, write_table
 from repro.baselines.systems import SystemConfig, build_system
 from repro.ftl.config import SsdConfig
 from repro.obs import AttributionReport, MetricSpec, Tracer
-from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel
+from repro.sim import (
+    DesSimulationEngine,
+    ReadRetryConfig,
+    ReadRetryModel,
+    observe,
+)
 from repro.traces.workloads import make_workload
 
 N_CHANNELS = 4
@@ -56,7 +61,7 @@ def run_reports(shared_policy):
                 warmup_fraction=0.25,
                 n_channels=N_CHANNELS,
                 retry_model=ReadRetryModel(ReadRetryConfig(seed=2015)),
-                tracer=tracer,
+                observers=observe(tracer=tracer),
             )
             engine.run(trace, workload_name)
             reports[(workload_name, system_name)] = AttributionReport.from_spans(

@@ -26,7 +26,12 @@ from repro.faults import FaultConfig, FaultInjector
 from repro.ftl.config import SsdConfig
 from repro.obs import MetricsRegistry, WindowedRecorder
 from repro.obs.monitor import HealthMonitor, monitor_fingerprint
-from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel
+from repro.sim import (
+    DesSimulationEngine,
+    ReadRetryConfig,
+    ReadRetryModel,
+    observe,
+)
 from repro.traces.workloads import make_workload
 
 N_CHANNELS = 4
@@ -67,8 +72,7 @@ def run_monitored(shared_policy, faulty: bool):
         warmup_fraction=0.25,
         n_channels=N_CHANNELS,
         retry_model=ReadRetryModel(ReadRetryConfig(seed=2015)),
-        registry=registry,
-        recorder=recorder,
+        observers=observe(registry=registry, recorder=recorder),
     )
     engine.run(trace, WORKLOAD)
     return monitor

@@ -118,20 +118,20 @@ def _build_system(
     )
 
 
-def _engine(args: argparse.Namespace, system, **observers):
+def _engine(args: argparse.Namespace, system, **instruments):
     """The run's engine: warmup, channels and read retry from ``args``.
 
-    ``observers`` (registry, tracer, recorder, channel_telemetry) are
-    attached as given.
+    ``instruments`` (registry, tracer, recorder, channel_telemetry) are
+    attached as observers (:func:`repro.sim.observe`).
     """
-    from repro.sim import DesSimulationEngine, ReadRetryModel
+    from repro.sim import DesSimulationEngine, ReadRetryModel, observe
 
     return DesSimulationEngine(
         system,
         warmup_fraction=args.warmup_fraction,
         n_channels=args.channels,
         retry_model=None if args.no_retry else ReadRetryModel(),
-        **observers,
+        observers=observe(**instruments),
     )
 
 

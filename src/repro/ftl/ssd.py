@@ -117,16 +117,13 @@ class Ssd:
             )
         self.config = config
         self.stats = SsdStats()
-        # Windowed telemetry (repro.obs.timeseries): the engine attaches
-        # a recorder; host-path entry points tick the virtual clock and
-        # internal events (GC runs, scrubs, retirements, degradation)
+        # Run observers (repro.sim.des.observers), attached by the
+        # engine for the duration of a run: GC runs, scrub refreshes,
+        # erases, retirements and degradation report themselves.
+        # Host-path entry points tick the virtual clock; internal events
         # stamp themselves at the last ticked time.
-        self.window_recorder = None
+        self.observers = ()
         self._window_now_us = 0.0
-        # Media telemetry (repro.obs.channel): the engine attaches a
-        # ChannelTelemetry; erases and retirements report themselves so
-        # the per-block wear context stays current.  None disables.
-        self.channel_telemetry = None
         n_logical = config.logical_pages
         n_physical = config.physical_pages
         # SsdConfig is frozen, so the LPN bound and the per-mode block
@@ -278,23 +275,29 @@ class Ssd:
                 1.0 if self.read_only else 0.0
             )
 
-    # --- windowed telemetry -----------------------------------------------------
+    # --- observed events --------------------------------------------------------
 
     def window_tick(self, now_us: float) -> None:
-        """Advance the windowed-telemetry virtual clock.
+        """Advance the observers' virtual clock.
 
         Host-path entry points (reads, writes, migrations, refreshes)
         tick it with their request time; internal events that carry no
         timestamp of their own — GC runs, scrubs, block retirements,
         entering degraded mode — stamp themselves at the last ticked
-        time.  A no-op without an attached recorder.
+        time.  A no-op without attached observers.
         """
-        if self.window_recorder is not None and now_us > self._window_now_us:
+        if self.observers and now_us > self._window_now_us:
             self._window_now_us = now_us
 
-    def _window_add(self, series: str, amount: float = 1.0) -> None:
-        if self.window_recorder is not None:
-            self.window_recorder.add(series, self._window_now_us, amount)
+    def attach(self, observers: tuple) -> tuple:
+        """Route FTL events to ``observers``; returns the previous ones.
+
+        The observers' clock restarts, so a run's events are never
+        stamped at an earlier run's last host-path time.
+        """
+        previous, self.observers = self.observers, observers
+        self._window_now_us = 0.0
+        return previous
 
     # --- host operations ------------------------------------------------------------
 
@@ -408,7 +411,8 @@ class Ssd:
         self.stats.flash_read_pages += 1
         program, gc = self._write_page(lpn, mode, now_us, kind="scrub")
         self.stats.scrub_refreshed_pages += 1
-        self._window_add("ftl.scrub.refreshed_pages")
+        for observer in self.observers:
+            observer.scrub_refresh(self._window_now_us)
         return service + program + gc
 
     def scrub_if_needed(self, lpn: int, required_levels: int, now_us: float) -> float:
@@ -586,7 +590,8 @@ class Ssd:
                 if guard > self.config.n_blocks:
                     raise FtlError("GC loop failed to make progress")
             self.stats.gc_runs += 1
-            self._window_add("ftl.gc.runs")
+            for observer in self.observers:
+                observer.gc_run(self._window_now_us)
             service += self._maybe_wear_level()
         finally:
             self._in_gc = False
@@ -658,17 +663,18 @@ class Ssd:
             else:
                 bbt.retire(victim)
                 self.stats.blocks_retired += 1
-                self._window_add("ftl.bbt.retired")
-                if self.channel_telemetry is not None:
-                    self.channel_telemetry.on_retire(victim, "erase_fail")
+                for observer in self.observers:
+                    observer.block_retired(
+                        victim, "erase_fail", self._window_now_us
+                    )
             return service
         self._block_mode[victim] = _FREE
         self._block_write_ptr[victim] = 0
         self._free_blocks.append(victim)
         self._block_erase[victim] += 1
         self.stats.erase_blocks += 1
-        if self.channel_telemetry is not None:
-            self.channel_telemetry.on_erase(victim, self._current_pe(victim))
+        for observer in self.observers:
+            observer.block_erased(victim, self._current_pe(victim))
         service += self.config.timing.erase_us
         if self.recovery is not None:
             self.recovery.record_erase(victim)
@@ -757,18 +763,15 @@ class Ssd:
             self.recovery.record_retire(victim)
         bbt.retire(victim)
         self.stats.blocks_retired += 1
-        self._window_add("ftl.bbt.retired")
-        if self.channel_telemetry is not None:
-            self.channel_telemetry.on_retire(victim, "program_fail")
+        for observer in self.observers:
+            observer.block_retired(victim, "program_fail", self._window_now_us)
         return service
 
     def _enter_read_only(self) -> None:
         """Degrade to read-only: writes, migrations and scrubs stop."""
         self.read_only = True
-        if self.window_recorder is not None:
-            self.window_recorder.sample(
-                "ftl.degraded.read_only", self._window_now_us, 1.0
-            )
+        for observer in self.observers:
+            observer.read_only(self._window_now_us)
 
     # --- helpers ------------------------------------------------------------------------
 

@@ -286,32 +286,6 @@ class ChannelTelemetry:
             )
         return observed
 
-    def on_breakdown(
-        self,
-        breakdown: Any,
-        *,
-        channel: int = 0,
-        rounds: int = 0,
-        uncorrectable: bool = False,
-        iterations: tuple[int, ...] = (),
-        tenant: str | None = None,
-    ) -> int:
-        """Record a read from a ``ReadServiceBreakdown``-shaped object."""
-        return self.on_read(
-            block=breakdown.block,
-            mode=breakdown.mode,
-            raw_ber=breakdown.raw_ber,
-            provisioned_levels=breakdown.provisioned_levels,
-            required_levels=breakdown.required_levels,
-            pe_cycles=breakdown.pe_cycles,
-            age_hours=breakdown.age_hours,
-            channel=channel,
-            rounds=rounds,
-            uncorrectable=uncorrectable,
-            iterations=iterations,
-            tenant=tenant,
-        )
-
     def on_erase(self, block: int, pe_cycles: float | None = None) -> None:
         """Record a successful block erase."""
         if 0 <= block < self.n_blocks:

@@ -12,12 +12,13 @@ regression-gated events/sec floor to beat.
 
 Three profiling modes, one ``repro.profile/1`` artifact schema:
 
-* **instrument** — :class:`EventLoopProfiler`, threaded through the
-  simulation engine.  Per-event-type dispatch counts with
-  exclusive/inclusive wall time, per-request-phase accounting
-  (sense/transfer/decode/retry/GC/trace), the loop's wall time, and
-  the profiler's own calibrated self-overhead.  Zero-cost when absent:
-  the engine guards every hook behind ``if profiler is not None``.
+* **instrument** — :class:`EventLoopProfiler`, which times the
+  engine's event handlers and per-request phases
+  (sense/transfer/decode/retry/GC/trace) through class-level shims
+  installed for the duration of a ``with`` block.  Per-event-type
+  dispatch counts with exclusive/inclusive wall time, the loop's wall
+  time, and the profiler's own calibrated self-overhead.  Zero-cost
+  outside the block: the engine knows nothing of the profiler.
 * **sample** — :class:`StackSampler`, a background-thread stack
   sampler (configurable Hz) whose output is the standard
   collapsed-stack format (``frame;frame;frame count``) consumable by
@@ -41,6 +42,8 @@ bench scripts changing at all.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import sys
 import threading
 import time
@@ -60,6 +63,24 @@ PROFILE_MODES = ("instrument", "sample", "alloc")
 #: Artifact keys that hold wall-clock (machine-dependent) data; they
 #: are stripped before fingerprinting so same-seed runs compare equal.
 WALL_KEYS = ("wall", "manifest")
+
+#: (section key, module, class, method) of every callable the
+#: instrumenting profiler times.  ``event.*`` are the event loop's two
+#: handlers; ``phase.*`` are the per-request phases inside them.
+SECTIONS: tuple[tuple[str, str, str, str], ...] = (
+    ("event.arrival", "repro.sim.des.engine", "DesSimulationEngine", "_arrival"),
+    ("event.request_complete", "repro.sim.des.engine", "DesSimulationEngine",
+     "_request_complete"),
+    ("phase.sense", "repro.baselines.systems", "StorageSystem", "read_page_breakdown"),
+    ("phase.transfer", "repro.baselines.systems", "StorageSystem", "serve_write_page"),
+    ("phase.retry", "repro.sim.des.retry", "ReadRetryModel", "sample_outcome"),
+    ("phase.gc", "repro.sim.des.scheduler", "ChannelScheduler", "admit"),
+    ("phase.gc", "repro.sim.des.scheduler", "ChannelScheduler", "add_background"),
+    ("phase.decode", "repro.sim.des.observers", "RegistryObserver", "decoded"),
+    ("phase.trace", "repro.sim.des.observers", "TracerObserver", "arrival"),
+    ("phase.trace", "repro.sim.des.observers", "TracerObserver", "op_serviced"),
+    ("phase.trace", "repro.sim.des.observers", "TracerObserver", "dispatched"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +136,16 @@ class _Frame:
 class EventLoopProfiler:
     """Stack-based wall-time accounting for an engine's event loop.
 
-    The engine brackets every loop iteration with
-    ``begin("event.<kind>", t0)`` / ``end()`` and nests phase sections
-    (``phase.sense``, ``phase.retry``, ...) inside; the profiler
-    accumulates per-key dispatch counts, *inclusive* wall time (the
-    whole section) and *exclusive* wall time (the section minus its
-    nested children).  Because every iteration is timed from before the
-    heap pop to after the handler, the per-event-type inclusive times
-    sum to the measured loop wall time up to the profiler's own
-    calibrated overhead plus loop bookkeeping — the reconciliation the
-    artifact reports as ``unattributed_s``.
+    Inside ``with profiler:`` every callable of :data:`SECTIONS` is
+    replaced by a shim that brackets each call with ``begin(key)`` /
+    ``end()``, so phase sections nest inside event sections; the
+    originals are put back on exit.  The profiler accumulates per-key
+    dispatch counts, *inclusive* wall time (the whole section) and
+    *exclusive* wall time (minus nested children).  Per-event-type
+    inclusive times sum to the loop wall time handed over with
+    :meth:`finish_loop`, up to the profiler's calibrated overhead plus
+    loop bookkeeping — the residual the artifact reports as
+    ``unattributed_s``.
 
     The clock is :func:`time.perf_counter` (injectable for tests).
     """
@@ -135,31 +156,62 @@ class EventLoopProfiler:
         self._count: dict[str, int] = {}
         self._inclusive_s: dict[str, float] = {}
         self._exclusive_s: dict[str, float] = {}
+        self._saved: list[tuple[object, str, object]] = []
         self.loop_wall_s = 0.0
         self.loop_events = 0
         self.loop_requests = 0
-        self._per_record_s = self._calibrate(clock)
+        self._per_record_s = self._calibrate()
 
-    @staticmethod
-    def _calibrate(clock: Callable[[], float], pairs: int = 512) -> float:
-        """Measured wall cost of one ``begin``/``end`` pair.
+    def _calibrate(self, pairs: int = 512) -> float:
+        """Measured wall cost of one timed call.
 
-        Runs a throwaway profiler through ``pairs`` empty sections and
-        divides; the result scales the reported ``self_overhead_s`` so
-        the loop-reconciliation check has a principled budget.
+        Times ``pairs`` calls of a shim around an empty function, then
+        drops their records; the result scales the reported
+        ``self_overhead_s`` so the loop-reconciliation check has a
+        principled budget.
         """
-        probe = object.__new__(EventLoopProfiler)
-        probe.clock = clock
-        probe._stack = []
-        probe._count = {}
-        probe._inclusive_s = {}
-        probe._exclusive_s = {}
-        t0 = clock()
+        timed = self._shim("calibration", lambda: None)
+        t0 = self.clock()
         for _ in range(pairs):
-            probe.begin("calibration")
-            probe.end()
-        elapsed = clock() - t0
+            timed()
+        elapsed = self.clock() - t0
+        for table in (self._count, self._inclusive_s, self._exclusive_s):
+            del table["calibration"]
         return elapsed / pairs
+
+    # -- installation ------------------------------------------------------
+
+    def __enter__(self) -> "EventLoopProfiler":
+        if self._saved:
+            raise ConfigurationError("profiler is already installed")
+        try:
+            for key, module, owner_name, attr in SECTIONS:
+                owner = getattr(importlib.import_module(module), owner_name)
+                original = vars(owner)[attr]
+                setattr(owner, attr, self._shim(key, original))
+                self._saved.append((owner, attr, original))
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc) -> None:
+        while self._saved:
+            owner, attr, original = self._saved.pop()
+            setattr(owner, attr, original)
+
+    def _shim(self, key: str, fn: Callable) -> Callable:
+        begin, end = self.begin, self.end
+
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            begin(key)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                end()
+
+        return timed
 
     # -- recording ---------------------------------------------------------
 
@@ -484,7 +536,7 @@ def profile_workload(
     from repro.baselines import SystemConfig, build_system, system_names
     from repro.core.level_adjust import LevelAdjustPolicy
     from repro.obs.metrics import MetricsRegistry
-    from repro.sim import DesSimulationEngine, ReadRetryModel
+    from repro.sim import DesSimulationEngine, ReadRetryModel, observe
     from repro.traces import make_workload, workload_names
 
     if mode not in PROFILE_MODES:
@@ -511,7 +563,6 @@ def profile_workload(
         ssd_config, workload_obj.footprint_pages, requests
     )
     registry = MetricsRegistry() if registry is None else registry
-    profiler = EventLoopProfiler() if mode == "instrument" else None
 
     def build_engine():
         return DesSimulationEngine(
@@ -519,8 +570,7 @@ def profile_workload(
             warmup_fraction=0.25,
             n_channels=channels,
             retry_model=ReadRetryModel() if retry else None,
-            registry=registry,
-            profiler=profiler,
+            observers=observe(registry=registry),
         )
 
     if mode == "sample":
@@ -545,8 +595,13 @@ def profile_workload(
         result = holder["result"]
         wall = {"loop": _loop_payload(result), "alloc": alloc}
     else:
-        result = build_engine().run(trace, workload)
-        assert profiler is not None
+        engine = build_engine()
+        profiler = EventLoopProfiler()
+        with profiler:
+            result = engine.run(trace, workload)
+        profiler.finish_loop(
+            result.wall_loop_s, result.wall_events, result.wall_requests
+        )
         wall = profiler.to_dict()
 
     return {
@@ -572,6 +627,7 @@ def profile_workload(
 __all__ = [
     "PROFILE_MODES",
     "PROFILE_SCHEMA",
+    "SECTIONS",
     "EventLoopProfiler",
     "StackSampler",
     "allocation_profile",

@@ -54,6 +54,7 @@ from repro.serve.queues import QueuePair, SubmittedRequest
 from repro.serve.tenants import TenantSpec, TenantStream, spawn_streams
 from repro.sim.des.engine import DesSimulationEngine
 from repro.sim.des.ingress import PendingRequest, RequestSource
+from repro.sim.des.observers import observe
 from repro.sim.results import DesSimulationResult, response_histogram
 
 #: Fallback logical footprint when the system under test has none.
@@ -490,10 +491,12 @@ class ServeEngine:
             self.system,
             warmup_fraction=0.0,
             n_channels=self.n_channels,
-            registry=self.registry,
-            tracer=tracer,
-            recorder=self.recorder,
-            channel_telemetry=self.channel_telemetry,
+            observers=observe(
+                registry=self.registry,
+                tracer=tracer,
+                recorder=self.recorder,
+                channel_telemetry=self.channel_telemetry,
+            ),
         )
         sim = engine.run_source(
             source, workload_name="multi_tenant", crash_us=crash_us

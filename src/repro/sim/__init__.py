@@ -12,6 +12,8 @@ from repro.sim.des import (
     ReadRetryConfig,
     ReadRetryModel,
     RetryOutcome,
+    RunObserver,
+    observe,
 )
 from repro.sim.crash import (
     CrashCycle,
@@ -28,6 +30,8 @@ __all__ = [
     "ReadRetryConfig",
     "ReadRetryModel",
     "RetryOutcome",
+    "RunObserver",
+    "observe",
     "CrashCycle",
     "CrashRunResult",
     "RecoveryOutcome",

@@ -54,7 +54,7 @@ from repro.ftl.ssd import _MODE_TO_INT
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import WindowedRecorder
 from repro.obs.tracing import Span
-from repro.sim.des import DesSimulationEngine, ReadRetryModel
+from repro.sim.des import DesSimulationEngine, ReadRetryModel, observe
 from repro.sim.results import DesSimulationResult
 from repro.traces.schema import TraceRecord
 
@@ -398,8 +398,7 @@ def run_with_crashes(
             warmup_fraction=warmup_fraction if first else 0.0,
             n_channels=n_channels,
             retry_model=ReadRetryModel() if retry else None,
-            registry=registry,
-            recorder=recorder,
+            observers=observe(registry=registry, recorder=recorder),
         )
         result = engine.run(remaining, workload_name, crash_us=crash_us)
         if not result.crashed:

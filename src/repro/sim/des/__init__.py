@@ -9,6 +9,7 @@ read-retry model — the machinery needed to measure tail latency
 from repro.sim.des.engine import DesSimulationEngine
 from repro.sim.des.events import Event, EventHeap, EventKind
 from repro.sim.des.ingress import PendingRequest, RequestSource, TraceSource
+from repro.sim.des.observers import RunObserver, observe
 from repro.sim.des.retry import ReadRetryConfig, ReadRetryModel, RetryOutcome
 from repro.sim.des.scheduler import ChannelScheduler, ChannelState, DrainReport
 
@@ -20,6 +21,8 @@ __all__ = [
     "PendingRequest",
     "RequestSource",
     "TraceSource",
+    "RunObserver",
+    "observe",
     "ReadRetryConfig",
     "ReadRetryModel",
     "RetryOutcome",

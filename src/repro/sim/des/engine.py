@@ -12,13 +12,14 @@ represent.  That is the quantity the paper's Fig. 6 story is really
 about, and why the result carries p50/p95/p99 and per-channel
 utilization.
 
-Observability: pass a :class:`repro.obs.Tracer` to record sampled
-per-request span trees (queue wait, GC stalls, each sensing round with
-its sense/transfer/LDPC-decode split) and a
-:class:`repro.obs.MetricsRegistry` to collect the run's counters and
-streaming histograms under one namespace — so a slow p99 read can be
-attributed to queueing vs. sensing rounds vs. decoder time instead of
-being one opaque number.
+Observability: the engine emits run events (arrival, GC drain, page
+op serviced, request dispatched and completed, end of run) to a tuple
+of :class:`~repro.sim.des.observers.RunObserver` subscribers, and the
+SSD emits its FTL events to the same tuple while a run is in progress.
+:func:`repro.sim.des.observers.observe` turns a tracer, metrics
+registry, windowed recorder and channel telemetry into subscribers —
+so a slow p99 read can be attributed to queueing vs. sensing rounds
+vs. decoder time instead of being one opaque number.
 
 Reduction property: with ``n_channels=1`` and ``retry_model=None`` the
 engine is a single FIFO queue with granule-quantized background work,
@@ -50,13 +51,10 @@ from typing import Iterable
 
 from repro.baselines.systems import ReadServiceBreakdown, StorageSystem
 from repro.errors import ConfigurationError, SimulationError
-from repro.obs.channel import ChannelTelemetry
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import EventLoopProfiler, record_loop
-from repro.obs.timeseries import WindowedRecorder
-from repro.obs.tracing import Span, Tracer
+from repro.obs.profile import record_loop
 from repro.sim.des.events import Event, EventHeap, EventKind
 from repro.sim.des.ingress import PendingRequest, RequestSource, TraceSource
+from repro.sim.des.observers import RunObserver
 from repro.sim.des.retry import ReadRetryModel
 from repro.sim.des.scheduler import ChannelScheduler
 from repro.sim.results import DesSimulationResult
@@ -67,12 +65,6 @@ _REQUEST_COMPLETE = EventKind.REQUEST_COMPLETE
 
 #: Sentinel for the default (enabled, default-config) retry model.
 _DEFAULT_RETRY = object()
-
-#: Profiler section key per event kind (precomputed: the loop is hot).
-_EVENT_KEYS = {
-    EventKind.ARRIVAL: "event.arrival",
-    EventKind.REQUEST_COMPLETE: "event.request_complete",
-}
 
 
 class DesSimulationEngine:
@@ -96,40 +88,15 @@ class DesSimulationEngine:
         read decodes in its first sensing round).  Defaults to
         :class:`~repro.sim.des.retry.ReadRetryModel` with its standard
         configuration.
-    registry:
-        Optional metrics registry; when set, the run publishes its
-        counters, gauges and response-time histograms into it.
-    tracer:
-        Optional tracer; when set, post-warmup requests are offered to
-        its sampling policy as full span trees.
-    recorder:
-        Optional :class:`repro.obs.WindowedRecorder`; when set, the run
-        emits virtual-time-windowed telemetry — arrivals, in-flight
-        requests, per-channel page-op and busy/GC microseconds, retry
-        and uncorrectable rates, degraded-mode state — and the SSD's
-        own windowed series (GC runs, scrub refreshes, block
-        retirements) are routed into the same recorder.  Windows cover
-        the *whole* run including warmup: the time-resolved view is the
-        point, and warmup is part of the timeline.
     sample_cap:
         Overrides the result's exact-sample cap (None keeps
         :data:`repro.sim.results.DEFAULT_SAMPLE_CAP`).
-    profiler:
-        Optional :class:`repro.obs.profile.EventLoopProfiler`; when
-        set, every event-loop iteration is timed under its event kind
-        and the per-request phases (sense/transfer/decode/retry/GC/
-        trace) are accounted inside it.  Wall-clock only — the
-        simulated-time outputs are byte-identical with or without a
-        profiler, and with ``None`` the only cost is the guard checks.
-    channel_telemetry:
-        Optional :class:`repro.obs.channel.ChannelTelemetry`; when set,
-        every flash read reports its block, sensing configuration,
-        retry rounds and wear context into the media-telemetry
-        accumulator, ``channel.*`` windowed series and registry
-        counters are emitted, and the SSD routes erase/retire events
-        into the same sink.  Uses its own seeded generator for the
-        observed-error estimate, so the simulated-time outputs are
-        byte-identical with or without telemetry attached.
+    observers:
+        :class:`~repro.sim.des.observers.RunObserver` subscribers that
+        receive the run's events, in this order (build them with
+        :func:`~repro.sim.des.observers.observe`).  They observe only:
+        the simulated-time outputs are byte-identical with or without
+        them.
     """
 
     def __init__(
@@ -139,12 +106,8 @@ class DesSimulationEngine:
         n_channels: int = 1,
         gc_granule_us: float | None = None,
         retry_model: ReadRetryModel | None | object = _DEFAULT_RETRY,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        recorder: WindowedRecorder | None = None,
         sample_cap: int | None = None,
-        profiler: EventLoopProfiler | None = None,
-        channel_telemetry: ChannelTelemetry | None = None,
+        observers: Iterable[RunObserver] = (),
     ):
         if not 0.0 <= warmup_fraction < 1.0:
             raise ConfigurationError("warmup fraction outside [0, 1)")
@@ -161,14 +124,10 @@ class DesSimulationEngine:
         if retry_model is _DEFAULT_RETRY:
             retry_model = ReadRetryModel()
         self.retry_model = retry_model
-        self.registry = registry
-        self.tracer = tracer
-        self.recorder = recorder
         if sample_cap is not None and sample_cap < 0:
             raise ConfigurationError("negative sample cap")
         self.sample_cap = sample_cap
-        self.profiler = profiler
-        self.channel_telemetry = channel_telemetry
+        self.observers = tuple(observers)
         # With a fault injector on the SSD, ladder exhaustion gains its
         # terminal branch: the final round's residual failure probability
         # is sampled into uncorrectable reads.  Without one, exhaustion
@@ -224,110 +183,75 @@ class DesSimulationEngine:
         """
         if warmup_count < 0:
             raise ConfigurationError(f"negative warmup count: {warmup_count}")
+        first = source.next_request(0.0)
+        if first is None:
+            raise ConfigurationError("request source produced no requests")
+        # The SSD's FTL events reach the observers for this run only.
+        detached = self.system.ssd.attach(self.observers)
+        try:
+            return self._run_loop(
+                source, first, workload_name, warmup_count, crash_us
+            )
+        finally:
+            self.system.ssd.attach(detached)
+
+    # --- internals ------------------------------------------------------------------
+
+    def _run_loop(
+        self,
+        source: RequestSource,
+        first: PendingRequest,
+        workload_name: str,
+        warmup_count: int,
+        crash_us: float | None,
+    ) -> DesSimulationResult:
         result = DesSimulationResult(
             system_name=self.system.name, workload_name=workload_name
         )
         if self.sample_cap is not None:
             result.sample_cap = self.sample_cap
-        scheduler = ChannelScheduler(self.n_channels, self.gc_granule_us)
-        heap = EventHeap()
-        first = source.next_request(0.0)
-        if first is None:
-            raise ConfigurationError("request source produced no requests")
-        pending: dict[int, PendingRequest] = {first.index: first}
+        # Per-run loop state, read by the event handlers.
+        self._source = source
+        self._result = result
+        self._warmup_count = warmup_count
+        self._scheduler = scheduler = ChannelScheduler(
+            self.n_channels, self.gc_granule_us
+        )
+        self._heap = heap = EventHeap()
+        self._pending: dict[int, PendingRequest] = {first.index: first}
         heap.push(Event(first.record.timestamp_us, _ARRIVAL, first.index))
-        source_blocked = False
-        recorder = self.recorder
-        if recorder is not None:
-            self.system.ssd.window_recorder = recorder
-        if self.channel_telemetry is not None:
-            self.system.ssd.channel_telemetry = self.channel_telemetry
-        # At a power cut the observers are advanced to the device's
-        # last activity before it, page-op completions and GC drains
-        # included; without a recorder nothing observes that instant.
-        cut_us = crash_us if recorder is not None else None
-        last_activity_us = -math.inf
-
-        ops_dispatched = 0
-        requests_completed = 0
-        inflight = 0
+        self._source_blocked = False
+        self._ops_dispatched = 0
+        self._requests_completed = 0
         origin_us = first.record.timestamp_us
-        last_completion_us = origin_us
-        profiler = self.profiler
+        self._last_completion_us = origin_us
+        observers = self.observers
+        for observer in observers:
+            observer.start(self.system, source, warmup_count, crash_us)
+
+        cut_us = math.inf if crash_us is None else crash_us
+        arrival = self._arrival
+        request_complete = self._request_complete
         crashed = False
         loop_t0 = perf_counter()
         while heap:
-            if profiler is not None:
-                iter_t0 = profiler.clock()
             time_us, kind, index, response_us = heap.pop()
-            if crash_us is not None and time_us >= crash_us:
+            if time_us >= cut_us:
                 # Sudden power-off: nothing at or after the cut happens.
                 crashed = True
                 break
-            if profiler is not None:
-                profiler.begin(_EVENT_KEYS[kind], iter_t0)
-            if recorder is not None:
-                # Virtual time is monotone over popped events, and no
-                # observation is ever recorded before the current event
-                # time — windows behind this event are final, so online
-                # consumers (the health monitor) may close them now.
-                # The source flushes its between-poll observations
-                # (queue-pair submissions stamped at submit time) first.
-                source.advance_to(time_us)
-                recorder.advance(time_us)
+            # Virtual time is monotone over popped events, and no
+            # observation is ever made before the current event time.
+            for observer in observers:
+                observer.advance(time_us)
             if kind is _ARRIVAL:
-                request = pending[index]
-                if recorder is not None:
-                    inflight += 1
-                    recorder.add("sim.arrivals", time_us)
-                    recorder.sample("sim.inflight_requests", time_us, inflight)
-                ops_dispatched += request.record.n_pages
-                activity_us = self._dispatch(
-                    request, scheduler, heap, result, warmup_count, cut_us
-                )
-                if activity_us > last_activity_us:
-                    last_activity_us = activity_us
-                nxt = source.next_request(time_us)
-                if nxt is not None:
-                    pending[nxt.index] = nxt
-                    heap.push(Event(nxt.record.timestamp_us, _ARRIVAL, nxt.index))
-                source_blocked = nxt is None
+                arrival(time_us, index)
             else:  # REQUEST_COMPLETE
-                requests_completed += 1
-                last_completion_us = time_us
-                if recorder is not None:
-                    inflight -= 1
-                    recorder.sample("sim.inflight_requests", time_us, inflight)
-                    recorder.sample(
-                        "sim.degraded.read_only",
-                        time_us,
-                        float(self.system.ssd.read_only),
-                    )
-                    recorder.sample("sim.response_us", time_us, response_us)
-                done = pending.pop(index)
-                if index >= warmup_count:
-                    result.record(done.record.is_write, response_us)
-                source.on_complete(index, time_us, response_us)
-                if source_blocked:
-                    nxt = source.next_request(time_us)
-                    if nxt is not None:
-                        pending[nxt.index] = nxt
-                        heap.push(
-                            Event(nxt.record.timestamp_us, _ARRIVAL, nxt.index)
-                        )
-                        source_blocked = False
-            if profiler is not None:
-                profiler.end()
+                request_complete(time_us, index, response_us)
         loop_s = perf_counter() - loop_t0
-        if crashed and last_activity_us > -math.inf:
-            # Channels may have kept working past the last event before
-            # the cut: advance the observers to their last activity
-            # (a no-op if an event already took them further).
-            source.advance_to(last_activity_us)
-            recorder.advance(last_activity_us)
-        if recorder is not None:
-            recorder.flush()
 
+        pending = self._pending
+        requests_completed = self._requests_completed
         if crashed:
             # Crash-specific conservation: every emitted request either
             # completed before the cut or is accounted as aborted.
@@ -345,10 +269,10 @@ class DesSimulationEngine:
             result.aborted_requests = aborted
         else:
             self._check_conservation(
-                source.emitted, requests_completed, ops_dispatched, scheduler
+                source.emitted, requests_completed, self._ops_dispatched, scheduler
             )
         result.channel_busy_us = scheduler.busy_times_us()
-        result.makespan_us = max(last_completion_us - origin_us, 0.0)
+        result.makespan_us = max(self._last_completion_us - origin_us, 0.0)
         # Wall-clock accounting rides on result *attributes* only —
         # summary()/stats stay machine-independent so every
         # byte-determinism guarantee downstream survives.
@@ -356,8 +280,6 @@ class DesSimulationEngine:
         result.wall_events = heap.popped
         result.wall_requests = requests_completed
         record_loop(heap.popped, requests_completed, loop_s)
-        if profiler is not None:
-            profiler.finish_loop(loop_s, heap.popped, requests_completed)
         result.stats = self.system.ssd.stats.snapshot()
         result.stats["reduced_logical_pages"] = self.system.ssd.reduced_logical_pages()
         result.stats["max_pe_cycles"] = self.system.ssd.max_pe_cycles()
@@ -377,33 +299,51 @@ class DesSimulationEngine:
             bbt = self.system.ssd.bad_block_table
             if bbt is not None:
                 result.stats["spare_blocks_remaining"] = bbt.spare_remaining
-        if self.registry is not None:
-            self._publish_metrics(result, scheduler)
+        for observer in observers:
+            observer.finish(result, scheduler)
         return result
 
-    # --- internals ------------------------------------------------------------------
+    def _arrival(self, time_us: float, index: int) -> None:
+        """An ``ARRIVAL`` event: dispatch the request, poll for the next."""
+        request = self._pending[index]
+        for observer in self.observers:
+            observer.arrival(request, time_us)
+        self._ops_dispatched += request.record.n_pages
+        self._dispatch(request)
+        self._poll(time_us)
 
-    def _dispatch(
-        self,
-        pending: PendingRequest,
-        scheduler: ChannelScheduler,
-        heap: EventHeap,
-        result: DesSimulationResult,
-        warmup_count: int,
-        cut_us: float | None,
-    ) -> float:
+    def _request_complete(
+        self, time_us: float, index: int, response_us: float
+    ) -> None:
+        """A ``REQUEST_COMPLETE`` event: record it, tell the source."""
+        self._requests_completed += 1
+        self._last_completion_us = time_us
+        done = self._pending.pop(index)
+        for observer in self.observers:
+            observer.request_complete(done, time_us, response_us)
+        if index >= self._warmup_count:
+            self._result.record(done.record.is_write, response_us)
+        self._source.on_complete(index, time_us, response_us)
+        if self._source_blocked:
+            self._poll(time_us)
+
+    def _poll(self, time_us: float) -> None:
+        """Ask the source for its next request and schedule its arrival."""
+        nxt = self._source.next_request(time_us)
+        self._source_blocked = nxt is None
+        if nxt is not None:
+            self._pending[nxt.index] = nxt
+            self._heap.push(Event(nxt.record.timestamp_us, _ARRIVAL, nxt.index))
+
+    def _dispatch(self, pending: PendingRequest) -> None:
         """Split a request into page ops, route them, commit service.
 
         Schedules the request's completion at the latest frontier of
         the channels it touched.  Service starts no earlier than
         ``pending.record.timestamp_us`` (the dispatch time); the
-        response and the trace root are measured from ``pending.t0_us``
+        response and the queue wait are measured from ``pending.t0_us``
         (the submission time), so ingress-side queueing shows up as
         queue wait.
-
-        Returns the latest instant before ``cut_us`` at which a page op
-        completed or a GC drain started (``-inf`` if none, or if
-        ``cut_us`` is ``None``).
         """
         record = pending.record
         index = pending.index
@@ -419,156 +359,40 @@ class DesSimulationEngine:
             channel = channel_of(lpn, n_channels)
             ops_by_channel.setdefault(channel, []).append(lpn)
 
-        trace: Span | None = None
-        profiler = self.profiler
-        if self.tracer is not None and index >= warmup_count:
-            if profiler is not None:
-                profiler.begin("phase.trace")
-            trace = self.tracer.begin_request(
-                "write_request" if record.is_write else "read_request",
-                t0,
-                index=index,
-                n_pages=record.n_pages,
-                **pending.attrs,
-            )
-            if profiler is not None:
-                profiler.end()
-
-        completion = arrival
-        activity_us = -math.inf
-        first_op_start: float | None = None
-        recorder = self.recorder
-        telemetry = self.channel_telemetry
+        scheduler = self._scheduler
+        observers = self.observers
         service_us = self._service_us
+        completion = arrival
+        first_op_start = math.inf
         for channel, lpns in ops_by_channel.items():
-            if profiler is not None:
-                profiler.begin("phase.gc")
             report = scheduler.admit(channel, arrival)
-            if profiler is not None:
-                profiler.end()
-            if report.drained_us + report.stall_us > 0.0:
-                if cut_us is not None and activity_us < report.start_us < cut_us:
-                    activity_us = report.start_us
-                if recorder is not None:
-                    # Background work is binned at the admitting
-                    # request's service start, not spread across the
-                    # idle gap it actually drained into.
-                    recorder.add(
-                        f"sim.channel.{channel}.gc_us",
-                        report.start_us,
-                        report.drained_us + report.stall_us,
-                    )
-                if trace is not None and report.stall_us > 0.0:
-                    trace.span(
-                        "gc_stall",
-                        report.start_us - report.stall_us,
-                        channel=channel,
-                        drained_us=report.drained_us,
-                    ).end(report.start_us)
             start = report.start_us
+            for observer in observers:
+                observer.gc_drained(
+                    channel, start, report.drained_us, report.stall_us
+                )
             for lpn in lpns:
                 service, breakdown, rounds, uncorrectable = service_us(
-                    record, lpn, start, index, warmup_count, result, channel
+                    record, lpn, start, index, channel
                 )
                 op_done = scheduler.commit(channel, service)
                 op_start = op_done - service
-                if first_op_start is None or op_start < first_op_start:
+                if op_start < first_op_start:
                     first_op_start = op_start
-                if cut_us is not None and activity_us < op_done < cut_us:
-                    activity_us = op_done
-                if recorder is not None:
-                    recorder.add(f"sim.channel.{channel}.ops", op_start)
-                    recorder.add(
-                        f"sim.channel.{channel}.busy_us", op_start, service
-                    )
-                    if breakdown is not None and not breakdown.buffer_hit:
-                        recorder.add("sim.read.flash_reads", op_start)
-                        if rounds:
-                            recorder.add(
-                                "sim.read.retry_rounds", op_start, rounds
-                            )
-                        if uncorrectable:
-                            recorder.add("sim.uncorrectable.reads", op_start)
-                if (
-                    telemetry is not None
-                    and breakdown is not None
-                    and not breakdown.buffer_hit
-                ):
-                    # The modeled per-round iteration trail only feeds
-                    # the sampled trajectories; once the cap is full,
-                    # skip computing it on every remaining read.
-                    if len(telemetry.trajectories) < telemetry.trajectory_cap:
-                        decode_iterations = (
-                            self.system.latency.decode_iterations
-                        )
-                        iteration_trail = tuple(
-                            decode_iterations(breakdown.provisioned_levels + r)
-                            for r in range(rounds + 1)
-                        )
-                    else:
-                        iteration_trail = ()
-                    observed = telemetry.on_breakdown(
-                        breakdown,
-                        channel=channel,
-                        rounds=rounds,
-                        uncorrectable=uncorrectable,
-                        iterations=iteration_trail,
-                        tenant=pending.attrs.get("tenant"),
-                    )
-                    if recorder is not None:
-                        recorder.add(
-                            "channel.observed_errors", op_start, observed
-                        )
-                        recorder.sample(
-                            "channel.sensing.levels",
-                            op_start,
-                            breakdown.provisioned_levels,
-                        )
-                        if rounds:
-                            recorder.add(
-                                "channel.sensing.escalations", op_start, rounds
-                            )
-                        if uncorrectable:
-                            recorder.add("channel.uncorrectable", op_start)
-                    if self.registry is not None:
-                        self.registry.counter("channel.reads").inc()
-                        self.registry.counter("channel.observed_errors").inc(
-                            observed
-                        )
-                if trace is not None:
-                    if profiler is not None:
-                        profiler.begin("phase.trace")
-                    self._trace_op(
-                        trace, record, lpn, channel, op_start, service,
+                for observer in observers:
+                    observer.op_serviced(
+                        pending, channel, lpn, op_start, service, op_done,
                         breakdown, rounds, uncorrectable,
                     )
-                    if profiler is not None:
-                        profiler.end()
             # The channel's frontier is now its last op's completion.
             if op_done > completion:
                 completion = op_done
 
-        if profiler is not None:
-            profiler.begin("phase.gc")
         scheduler.add_background(self.system.take_background_us())
-        if profiler is not None:
-            profiler.end()
-        heap.push(Event(completion, _REQUEST_COMPLETE, index, completion - t0))
-        queue_wait = (
-            max(0.0, first_op_start - t0) if first_op_start is not None else 0.0
-        )
-        if trace is not None:
-            if profiler is not None:
-                profiler.begin("phase.trace")
-            wait_span = Span("queue_wait", t0)
-            wait_span.end(t0 + queue_wait)
-            trace.children.insert(0, wait_span)
-            self.tracer.finish_request(trace, completion)
-            if profiler is not None:
-                profiler.end()
-        if self.registry is not None and index >= warmup_count:
-            self.registry.histogram("sim.queue_wait_us").observe(queue_wait)
-        return activity_us
+        self._heap.push(Event(completion, _REQUEST_COMPLETE, index, completion - t0))
+        queue_wait = max(0.0, first_op_start - t0)
+        for observer in observers:
+            observer.dispatched(pending, completion, queue_wait)
 
     def _service_us(
         self,
@@ -576,40 +400,25 @@ class DesSimulationEngine:
         lpn: int,
         now_us: float,
         index: int,
-        warmup_count: int,
-        result: DesSimulationResult,
         channel: int,
     ) -> tuple[float, ReadServiceBreakdown | None, int, bool]:
         """One page operation's service time, retry rounds included.
 
         Returns ``(service_us, read breakdown or None for writes,
-        retry rounds taken, uncorrectable)`` so tracing can reconstruct
-        the sensing rounds the service time is made of.  A read is
-        uncorrectable when the sensing ladder was exhausted *and* the
-        fault injector's draw against the final round's residual
-        failure probability comes up failed — the terminal outcome the
-        optimistic legacy model lacks.
+        retry rounds taken, uncorrectable)`` so observers can
+        reconstruct the sensing rounds the service time is made of.  A
+        read is uncorrectable when the sensing ladder was exhausted
+        *and* the fault injector's draw against the final round's
+        residual failure probability comes up failed — the terminal
+        outcome the optimistic legacy model lacks.
         """
-        profiler = self.profiler
         if record.is_write:
-            # Wall-wise a write is the buffer/program transfer path.
-            if profiler is None:
-                return self.system.serve_write_page(lpn, now_us), None, 0, False
-            profiler.begin("phase.transfer")
-            service = self.system.serve_write_page(lpn, now_us)
-            profiler.end()
-            return service, None, 0, False
-        if profiler is not None:
-            profiler.begin("phase.sense")
+            return self.system.serve_write_page(lpn, now_us), None, 0, False
         breakdown = self.system.read_page_breakdown(lpn, now_us)
-        if profiler is not None:
-            profiler.end()
         service = breakdown.service_us
         rounds = 0
         uncorrectable = False
         if self.retry_model is not None and not breakdown.buffer_hit:
-            if profiler is not None:
-                profiler.begin("phase.retry")
             outcome = self.retry_model.sample_outcome(breakdown)
             rounds = outcome.extra_rounds
             service += outcome.extra_us
@@ -617,120 +426,11 @@ class DesSimulationEngine:
                 uncorrectable = self._fault_injector.read_uncorrectable(
                     outcome.final_failure_probability
                 )
-            if index >= warmup_count:
-                result.record_retry_rounds(rounds)
+            if index >= self._warmup_count:
+                self._result.record_retry_rounds(rounds)
                 if uncorrectable:
-                    result.record_uncorrectable(channel)
-            if profiler is not None:
-                profiler.end()
-        if self.registry is not None and not breakdown.buffer_hit:
-            if profiler is not None:
-                profiler.begin("phase.decode")
-            decode_iterations = self.system.latency.decode_iterations
-            # One histogram sample per decode round: the sum matches
-            # the old counter total while the distribution exposes
-            # decode-iteration p50/p95/p99 (ladder escalation visible
-            # as the upper tail).
-            iterations_hist = self.registry.histogram("ecc.ldpc.iterations")
-            for r in range(rounds + 1):
-                iterations_hist.observe(
-                    decode_iterations(breakdown.provisioned_levels + r)
-                )
-            self.registry.counter("ecc.ldpc.decode_rounds").inc(1 + rounds)
-            self.registry.counter("sim.read.retry_rounds").inc(rounds)
-            if uncorrectable:
-                self.registry.counter("sim.uncorrectable.reads").inc()
-                self.registry.counter(
-                    f"sim.uncorrectable.channel.{channel}.reads"
-                ).inc()
-            if profiler is not None:
-                profiler.end()
+                    self._result.record_uncorrectable(channel)
         return service, breakdown, rounds, uncorrectable
-
-    def _trace_op(
-        self,
-        trace: Span,
-        record: TraceRecord,
-        lpn: int,
-        channel: int,
-        op_start: float,
-        service: float,
-        breakdown: ReadServiceBreakdown | None,
-        rounds: int,
-        uncorrectable: bool = False,
-    ) -> None:
-        """Attach one page operation's span subtree to the request."""
-        if record.is_write:
-            trace.span(
-                "buffered_write", op_start, channel=channel, lpn=lpn
-            ).end(op_start + service)
-            return
-        assert breakdown is not None
-        if breakdown.buffer_hit:
-            trace.span(
-                "buffer_hit_read", op_start, channel=channel, lpn=lpn
-            ).end(op_start + service)
-            return
-        op = trace.span(
-            "flash_read",
-            op_start,
-            channel=channel,
-            lpn=lpn,
-            required_levels=breakdown.required_levels,
-            provisioned_levels=breakdown.provisioned_levels,
-        )
-        if uncorrectable:
-            op.attrs["uncorrectable"] = True
-        latency = self.system.latency
-        t = op_start
-        for round_index in range(rounds + 1):
-            level = breakdown.provisioned_levels + round_index
-            if round_index == 0:
-                sense, transfer, decode = latency.round_components_us(level)
-            else:
-                sense, transfer, decode = latency.retry_round_components_us(level)
-            round_span = op.span(
-                "sensing_round", t, round=round_index, extra_levels=level
-            )
-            round_span.span("sense", t).end(t + sense)
-            round_span.span("transfer", t + sense).end(t + sense + transfer)
-            round_span.span(
-                "ldpc_decode",
-                t + sense + transfer,
-                iterations=latency.decode_iterations(level),
-            ).end(t + sense + transfer + decode)
-            t += sense + transfer + decode
-            round_span.end(t)
-        if breakdown.post_read_us > 0.0:
-            op.span("post_read", t).end(t + breakdown.post_read_us)
-        op.end(op_start + service)
-
-    def _publish_metrics(
-        self, result: DesSimulationResult, scheduler: ChannelScheduler
-    ) -> None:
-        """Push the run's counters and histograms into the registry."""
-        registry = self.registry
-        self.system.publish_metrics(registry)
-        registry.register("sim.read.response_us", result.read_hist)
-        registry.register("sim.write.response_us", result.write_hist)
-        registry.gauge("sim.makespan_us").set(result.makespan_us)
-        # Wall-clock throughput of the loop itself (machine-dependent
-        # provenance; lands in manifests, never in hashed configs).
-        registry.gauge("sim.wall.loop_s").set(result.wall_loop_s)
-        registry.gauge("sim.wall.events_per_s").set(result.wall_events_per_s())
-        registry.gauge("sim.wall.requests_per_s").set(
-            result.wall_requests_per_s()
-        )
-        registry.gauge("sim.residual_backlog_us").set(scheduler.residual_backlog_us)
-        registry.gauge("sim.read.mean_retry_rounds").set(result.mean_retry_rounds())
-        if self._fault_injector is not None:
-            registry.gauge("sim.uncorrectable.rate").set(result.uncorrectable_rate())
-        for channel, busy_us in enumerate(result.channel_busy_us):
-            registry.gauge(f"sim.channel.{channel}.busy_us").set(busy_us)
-            utilization = (
-                busy_us / result.makespan_us if result.makespan_us > 0.0 else 0.0
-            )
-            registry.gauge(f"sim.channel.{channel}.utilization").set(utilization)
 
     @staticmethod
     def _check_conservation(

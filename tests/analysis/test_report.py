@@ -2,16 +2,19 @@
 
 import pytest
 
-from repro.analysis.report import generate_report, main
+from repro.analysis.report import main
 
 
 @pytest.fixture(scope="module")
-def report_text():
-    return generate_report(fast=True)
+def report_file(tmp_path_factory):
+    """The fast report, generated once through the CLI."""
+    out = tmp_path_factory.mktemp("report") / "report.md"
+    assert main(["--fast", "--output", str(out)]) == 0
+    return out.read_text()
 
 
 class TestReport:
-    def test_contains_every_section(self, report_text):
+    def test_contains_every_section(self, report_file):
         for heading in (
             "# FlexLevel reproduction report",
             "## Fig. 5",
@@ -20,18 +23,17 @@ class TestReport:
             "## Fig. 6(a)",
             "## Fig. 7",
         ):
-            assert heading in report_text
+            assert heading in report_file
 
-    def test_mentions_paper_targets(self, report_text):
-        assert "paper: 66" in report_text or "(paper: 78" in report_text
+    def test_mentions_paper_targets(self, report_file):
+        assert "paper: 66" in report_file or "(paper: 78" in report_file
 
-    def test_all_workloads_listed(self, report_text):
+    def test_all_workloads_listed(self, report_file):
         for workload in ("fin-2", "web-1", "prj-1", "win-2"):
-            assert workload in report_text
+            assert workload in report_file
 
-    def test_cli_writes_file(self, tmp_path, monkeypatch):
-        out = tmp_path / "report.md"
-        # reuse the cached fast path only conceptually; the CLI rebuilds
-        code = main(["--fast", "--output", str(out)])
-        assert code == 0
-        assert out.read_text().startswith("# FlexLevel reproduction report")
+    def test_cli_writes_file(self, report_file):
+        assert report_file.startswith("# FlexLevel reproduction report")
+        # The CLI appends exactly one newline after the report.
+        assert report_file.endswith("._\n")
+        assert not report_file.endswith("\n\n")

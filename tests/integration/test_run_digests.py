@@ -65,7 +65,7 @@ from repro.obs import (
 )
 from repro.obs.channel import ChannelTelemetry
 from repro.serve import ServeEngine, build_artifact, parse_mix
-from repro.sim import DesSimulationEngine, run_with_crashes
+from repro.sim import DesSimulationEngine, run_with_crashes, observe
 from repro.traces.workloads import make_workload
 
 #: Digests recorded on the implementation before the read-path lookups.
@@ -494,10 +494,12 @@ def observed_des_run() -> str:
     engine = DesSimulationEngine(
         system,
         n_channels=4,
-        registry=registry,
-        tracer=tracer,
-        recorder=recorder,
-        channel_telemetry=telemetry,
+        observers=observe(
+            registry=registry,
+            tracer=tracer,
+            recorder=recorder,
+            channel_telemetry=telemetry,
+        ),
     )
     result = engine.run(workload.generate(1500, seed=8), workload_name="prj-1")
     assert monitor.n_alerts > 0

@@ -15,7 +15,7 @@ from repro.obs import (
     diff_reports,
 )
 from repro.obs.tracing import Span
-from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel
+from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel, observe
 from repro.traces.schema import TraceRecord
 
 
@@ -216,7 +216,7 @@ def run_des(shared_policy, fault_injector=None, name="flexlevel"):
         warmup_fraction=0.1,
         n_channels=4,
         retry_model=ReadRetryModel(ReadRetryConfig(seed=11)),
-        tracer=tracer,
+        observers=observe(tracer=tracer),
     )
     result = engine.run(mixed_trace(), "t")
     return result, tracer
@@ -272,7 +272,7 @@ class TestEngineIntegration:
             warmup_fraction=0.0,
             n_channels=2,
             retry_model=ReadRetryModel(ReadRetryConfig(seed=11)),
-            tracer=tracer,
+            observers=observe(tracer=tracer),
         )
         result = engine.run(mixed_trace(400), "t")
         report = AttributionReport.from_spans(tracer.spans)
@@ -292,7 +292,7 @@ class TestEngineIntegration:
             warmup_fraction=0.1,
             n_channels=1,
             retry_model=None,
-            tracer=tracer,
+            observers=observe(tracer=tracer),
         )
         result = engine.run(mixed_trace(), "t")
         report = AttributionReport.from_spans(tracer.spans)

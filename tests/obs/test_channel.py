@@ -42,7 +42,7 @@ from repro.obs.channel import (
 )
 from repro.obs.monitor.rules import default_rules
 from repro.obs.timeseries import WindowedRecorder
-from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel
+from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel, observe
 from repro.traces.workloads import make_workload
 
 # ---------------------------------------------------------------------------
@@ -388,9 +388,9 @@ def _des_engine(telemetry=None, registry=None, recorder=None):
         warmup_fraction=0.25,
         n_channels=4,
         retry_model=ReadRetryModel(ReadRetryConfig(seed=2015)),
-        registry=registry,
-        recorder=recorder,
-        channel_telemetry=telemetry,
+        observers=observe(
+            registry=registry, recorder=recorder, channel_telemetry=telemetry
+        ),
     )
     return engine, trace
 
@@ -479,8 +479,11 @@ def test_gc_erases_reach_telemetry():
     system = build_system("flexlevel", config)
     telemetry = ChannelTelemetry(16, seed=1)
     engine = DesSimulationEngine(
-        system, warmup_fraction=0.1, n_channels=2,
-        retry_model=None, channel_telemetry=telemetry,
+        system,
+        warmup_fraction=0.1,
+        n_channels=2,
+        retry_model=None,
+        observers=observe(channel_telemetry=telemetry),
     )
     engine.run(trace, "web-1")
     if system.ssd.stats.erase_blocks:

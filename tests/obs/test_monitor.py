@@ -339,7 +339,7 @@ def mixed_trace(n=600, period_us=400.0):
 
 def run_des(monitored=True, fault_scale=None, pe=16000.0, n=600):
     from repro.faults import FaultConfig, FaultInjector
-    from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel
+    from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel, observe
 
     ssd = SsdConfig(
         n_blocks=64,
@@ -370,9 +370,7 @@ def run_des(monitored=True, fault_scale=None, pe=16000.0, n=600):
         warmup_fraction=0.0,
         n_channels=4,
         retry_model=ReadRetryModel(ReadRetryConfig(seed=11)),
-        registry=registry,
-        tracer=tracer,
-        recorder=recorder,
+        observers=observe(registry=registry, tracer=tracer, recorder=recorder),
     )
     result = engine.run(mixed_trace(n), "t")
     return result, recorder, monitor
@@ -520,7 +518,7 @@ class TestTerminalDegradedAlert:
         read-only; the terminal alert must surface it even if the
         change-point rules missed the final partial window."""
         from repro.faults import FaultConfig, FaultInjector
-        from repro.sim import DesSimulationEngine
+        from repro.sim import DesSimulationEngine, observe
 
         ssd = SsdConfig(
             n_blocks=64, pages_per_block=16, gc_free_block_threshold=2
@@ -548,7 +546,10 @@ class TestTerminalDegradedAlert:
             TraceRecord(i * 200.0, (i * 13) % 100, 1, True) for i in range(600)
         ]
         engine = DesSimulationEngine(
-            system, warmup_fraction=0.0, n_channels=4, recorder=recorder
+            system,
+            warmup_fraction=0.0,
+            n_channels=4,
+            observers=observe(recorder=recorder),
         )
         engine.run(trace, "t")
         recorder.flush()

@@ -160,7 +160,7 @@ class TestCloseHooks:
         self, shared_policy
     ):
         from repro.obs import MetricsRegistry
-        from repro.sim import DesSimulationEngine
+        from repro.sim import DesSimulationEngine, observe
 
         def run_queue():
             system = tiny_system("flexlevel", shared_policy)
@@ -174,8 +174,9 @@ class TestCloseHooks:
                 warmup_fraction=0.1,
                 n_channels=1,
                 retry_model=None,
-                registry=MetricsRegistry(),
-                recorder=recorder,
+                observers=observe(
+                    registry=MetricsRegistry(), recorder=recorder
+                ),
             )
             engine.run(mixed_trace(300), "t")
             return closed
@@ -203,7 +204,7 @@ class TestCloseHooks:
 
 
 def _run_des_with_hook(shared_policy, attach, n=300):
-    from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel
+    from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel, observe
 
     system = tiny_system("flexlevel", shared_policy)
     recorder = WindowedRecorder(window_us=500.0)
@@ -213,14 +214,14 @@ def _run_des_with_hook(shared_policy, attach, n=300):
         warmup_fraction=0.1,
         n_channels=4,
         retry_model=ReadRetryModel(ReadRetryConfig(seed=11)),
-        recorder=recorder,
+        observers=observe(recorder=recorder),
     )
     engine.run(mixed_trace(n), "t")
     return recorder
 
 
 def run_des(shared_policy, n=300):
-    from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel
+    from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel, observe
 
     system = tiny_system("flexlevel", shared_policy)
     recorder = WindowedRecorder(window_us=500.0)
@@ -229,7 +230,7 @@ def run_des(shared_policy, n=300):
         warmup_fraction=0.1,
         n_channels=4,
         retry_model=ReadRetryModel(ReadRetryConfig(seed=11)),
-        recorder=recorder,
+        observers=observe(recorder=recorder),
     )
     result = engine.run(mixed_trace(n), "t")
     return result, recorder, system
@@ -257,7 +258,7 @@ class TestDesEngineWindows:
     def test_ssd_series_route_into_recorder(self, shared_policy):
         result, recorder, system = run_des(shared_policy)
         assert recorder.total("ftl.gc.runs") == system.ssd.stats.gc_runs
-        assert system.ssd.window_recorder is recorder
+        assert system.ssd.observers == ()  # detached after the run
 
     def test_retry_series_present(self, shared_policy):
         result, recorder, _ = run_des(shared_policy)
@@ -280,7 +281,7 @@ class TestDesEngineWindows:
 class TestQueueEngineWindows:
     def test_single_server_busy_reconciles(self, shared_policy):
         from repro.obs import MetricsRegistry
-        from repro.sim import DesSimulationEngine
+        from repro.sim import DesSimulationEngine, observe
 
         system = tiny_system("flexlevel", shared_policy)
         recorder = WindowedRecorder(window_us=500.0)
@@ -290,8 +291,7 @@ class TestQueueEngineWindows:
             warmup_fraction=0.1,
             n_channels=1,
             retry_model=None,
-            registry=registry,
-            recorder=recorder,
+            observers=observe(registry=registry, recorder=recorder),
         )
         engine.run(mixed_trace(300), "t")
         assert recorder.total("sim.arrivals") == 300
@@ -302,4 +302,4 @@ class TestQueueEngineWindows:
         assert windowed == pytest.approx(
             snapshot["sim.channel.0.busy_us"], rel=1e-9
         )
-        assert system.ssd.window_recorder is recorder
+        assert system.ssd.observers == ()  # detached after the run

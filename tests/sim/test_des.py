@@ -1,5 +1,7 @@
 """Tests for the discrete-event multi-channel simulator."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from repro.sim import (
     ReadRetryConfig,
     ReadRetryModel,
     RetryOutcome,
+    RunObserver,
+    observe,
 )
 from repro.obs import Tracer, WindowedRecorder
 from repro.sim.des.events import Event, EventHeap, EventKind
@@ -130,7 +134,10 @@ class TestConservation:
         system = tiny_system(shared_policy=shared_policy)
         registry = MetricsRegistry()
         engine = DesSimulationEngine(
-            system, warmup_fraction=0.0, n_channels=4, registry=registry
+            system,
+            warmup_fraction=0.0,
+            n_channels=4,
+            observers=observe(registry=registry),
         )
         result = engine.run(mixed_trace(200), "t")
         snapshot = registry.snapshot()
@@ -225,14 +232,14 @@ def write_heavy_trace(n):
     ]
 
 
-def single_queue(**observers):
+def single_queue(**instruments):
     """One channel, no retry, on a fresh GC-heavy baseline drive."""
     return DesSimulationEngine(
         gc_heavy_system("baseline"),
         warmup_fraction=0.0,
         n_channels=1,
         retry_model=None,
-        **observers,
+        observers=observe(**instruments),
     )
 
 
@@ -377,6 +384,145 @@ class TestEventLoop:
         assert result.crashed
         assert source.aborted[0] == root.attrs["index"]
         assert source.advanced[-1] == stalls[0].end_us
+
+
+class RecordingObserver(RunObserver):
+    """A fake subscriber that logs the run events it receives."""
+
+    def __init__(self):
+        self.events: list[tuple] = []
+
+    def start(self, system, source, warmup_count, crash_us):
+        self.events.append(("start",))
+
+    def advance(self, time_us):
+        self.events.append(("advance", time_us))
+
+    def arrival(self, pending, time_us):
+        self.events.append(("arrival", pending.index))
+
+    def op_serviced(self, pending, *rest):
+        self.events.append(("op", pending.index))
+
+    def dispatched(self, pending, completion_us, queue_wait_us):
+        self.events.append(("dispatched", pending.index))
+
+    def request_complete(self, pending, time_us, response_us):
+        self.events.append(("complete", pending.index))
+
+    def finish(self, result, scheduler):
+        self.events.append(("finish",))
+
+
+class TestObserverSeam:
+    """The engine reaches observers only through the run events."""
+
+    def test_fake_subscriber_sees_every_request_and_page_op(self):
+        trace = write_heavy_trace(300)
+        observer = RecordingObserver()
+        DesSimulationEngine(
+            gc_heavy_system("flexlevel"), warmup_fraction=0.1, n_channels=4,
+            observers=[observer],
+        ).run(trace, "t")
+        events = observer.events
+        assert events[0] == ("start",) and events[-1] == ("finish",)
+        for kind in ("arrival", "dispatched", "complete"):
+            indices = [e[1] for e in events if e[0] == kind]
+            assert sorted(indices) == list(range(len(trace)))
+        ops = [e[1] for e in events if e[0] == "op"]
+        for index, record in enumerate(trace):
+            assert ops.count(index) == record.n_pages
+        times = [e[1] for e in events if e[0] == "advance"]
+        assert len(times) == 2 * len(trace)
+        assert times == sorted(times)
+        # Each request's page ops sit between its arrival and dispatch.
+        first = events.index(("arrival", 0))
+        last = events.index(("dispatched", 0))
+        assert events[first + 1 : last] == [("op", 0)] * trace[0].n_pages
+
+    def test_no_op_observer_leaves_outputs_identical(self):
+        runs = []
+        for observers in ((), (RunObserver(),)):
+            runs.append(
+                DesSimulationEngine(
+                    gc_heavy_system("flexlevel"), warmup_fraction=0.1,
+                    n_channels=4, retry_model=ReadRetryModel(ReadRetryConfig(seed=3)),
+                    observers=observers,
+                ).run(write_heavy_trace(600), "t")
+            )
+        bare, observed = runs
+        assert json.dumps(bare.summary(), sort_keys=True) == json.dumps(
+            observed.summary(), sort_keys=True
+        )
+        assert bare.retry_rounds_histogram == observed.retry_rounds_histogram
+
+    def test_observers_detach_from_the_ssd_after_the_run(self):
+        system = gc_heavy_system("leveladjust-only")
+        recorder = WindowedRecorder(window_us=1000.0)
+        DesSimulationEngine(
+            system, warmup_fraction=0.0, n_channels=4,
+            observers=observe(recorder=recorder),
+        ).run(write_heavy_trace(600), "t")
+        gc_runs = recorder.total("ftl.gc.runs")
+        assert gc_runs == system.ssd.stats.gc_runs > 0
+        assert system.ssd.observers == ()
+        # A later detached run on the same drive writes nothing into
+        # the first run's (already flushed) recorder.
+        DesSimulationEngine(
+            system, warmup_fraction=0.0, n_channels=4
+        ).run(write_heavy_trace(600), "t")
+        assert system.ssd.stats.gc_runs > gc_runs
+        assert recorder.total("ftl.gc.runs") == gc_runs
+
+    def test_repeated_runs_stamp_ftl_events_in_their_own_timeline(self):
+        """Two attached runs on one drive, both traces starting at 0:
+        the second run's GC runs land in its own windows, not at the
+        first run's last host-path time."""
+        system = gc_heavy_system("leveladjust-only")
+        gc_windows = []
+        for _ in range(2):
+            recorder = WindowedRecorder(window_us=1000.0)
+            DesSimulationEngine(
+                system, warmup_fraction=0.0, n_channels=4,
+                observers=observe(recorder=recorder),
+            ).run(write_heavy_trace(600), "t")
+            gc_windows.append([row["window"] for row in recorder.rows("ftl.gc.runs")])
+        first, second = gc_windows
+        assert len(second) > 1
+        assert second[0] < first[-1]
+
+    def test_observers_detach_when_the_run_raises(self):
+        system = gc_heavy_system("baseline")
+        engine = DesSimulationEngine(
+            system, warmup_fraction=0.0, observers=[RunObserver()]
+        )
+
+        class Failing(TraceSource):
+            def on_complete(self, index, completion_us, response_us):
+                raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError):
+            engine.run_source(Failing(mixed_trace(10)), "t")
+        assert system.ssd.observers == ()
+
+    def test_engine_imports_no_observer_type(self):
+        import ast
+        import inspect
+
+        from repro.sim.des import engine as engine_module
+
+        tree = ast.parse(inspect.getsource(engine_module))
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        forbidden = {
+            "Tracer", "Span", "WindowedRecorder", "ChannelTelemetry",
+            "MetricsRegistry", "EventLoopProfiler",
+        }
+        assert not imported & forbidden
 
 
 class TestReadRetry:

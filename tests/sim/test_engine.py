@@ -9,7 +9,7 @@ import pytest
 
 from repro.baselines.systems import SystemConfig, build_system
 from repro.ftl.config import SsdConfig
-from repro.sim import DesSimulationEngine
+from repro.sim import DesSimulationEngine, observe
 from repro.traces.schema import TraceRecord
 from repro.errors import ConfigurationError
 
@@ -106,9 +106,10 @@ class TestEngine:
         system = tiny_system(shared_policy=shared_policy)
         registry = MetricsRegistry()
         trace = [TraceRecord(i * 500.0, i % 50, 2, i % 3 == 0) for i in range(200)]
-        single_queue(system, warmup_fraction=0.0, registry=registry).run(
-            trace, "t"
+        engine = single_queue(
+            system, warmup_fraction=0.0, observers=observe(registry=registry)
         )
+        engine.run(trace, "t")
         snapshot = registry.snapshot()
         busy = snapshot["sim.channel.0.busy_us"]
         makespan = snapshot["sim.makespan_us"]
