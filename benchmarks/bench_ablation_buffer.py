@@ -16,6 +16,16 @@ N_REQUESTS = 4_000 if QUICK else 20_000
 BUFFER_SWEEP = (0, 64, 512, 2048)
 
 
+#: Exact quick-mode values of the headline metrics at seed
+#: ``BENCH_SEED``; the test asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "buffer0_mean_response_us": 964.4631747167372,
+    "buffer2048_flash_programs": 339.0,
+    "buffer512_mean_response_us": 649.295622338561,
+    "program_reduction": 19.250737463126843,
+}
+
+
 def _run_sweep(shared_policy):
     config = SystemExperimentConfig(
         n_blocks=256, n_requests=N_REQUESTS, seed=BENCH_SEED
@@ -44,11 +54,8 @@ def _run_sweep(shared_policy):
     return out
 
 
-def test_ablation_buffer_size(benchmark, results_dir, shared_policy, bench_case):
-    bench_case.configure(n_requests=N_REQUESTS, buffer_sweep=list(BUFFER_SWEEP))
-    results = benchmark.pedantic(
-        _run_sweep, args=(shared_policy,), rounds=1, iterations=1
-    )
+def test_ablation_buffer_size(results_dir, shared_policy):
+    results = _run_sweep(shared_policy)
 
     lines = ["buffer (pages)  response (us)  flash programs  erases  read hits"]
     for pages, row in sorted(results.items()):
@@ -59,17 +66,15 @@ def test_ablation_buffer_size(benchmark, results_dir, shared_policy, bench_case)
         )
     write_table(results_dir, "ablation_buffer", lines)
 
-    bench_case.emit(
-        {
-            "buffer0_mean_response_us": results[0]["mean_response_us"],
-            "buffer512_mean_response_us": results[512]["mean_response_us"],
-            "buffer2048_flash_programs": results[2048]["flash_programs"],
-            "program_reduction": results[0]["flash_programs"]
-            / max(results[2048]["flash_programs"], 1.0),
-        },
-        specs={"program_reduction": {"direction": "higher"}},
-        table="ablation_buffer",
-    )
+    metrics = {
+        "buffer0_mean_response_us": results[0]["mean_response_us"],
+        "buffer512_mean_response_us": results[512]["mean_response_us"],
+        "buffer2048_flash_programs": results[2048]["flash_programs"],
+        "program_reduction": results[0]["flash_programs"]
+        / max(results[2048]["flash_programs"], 1.0),
+    }
+    if QUICK:
+        assert metrics == QUICK_PINS
 
     # A bigger buffer absorbs rewrites: flash programs fall.
     assert results[2048]["flash_programs"] < results[0]["flash_programs"]

@@ -18,6 +18,17 @@ from repro.traces.workloads import make_workload
 N_REQUESTS = 4_000 if QUICK else 20_000
 
 
+#: Exact quick-mode values of the headline metrics at seed
+#: ``BENCH_SEED``; the test asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "combined_mean_response_us": 353.81628515771797,
+    "combined_migration_programs": 0.0,
+    "combined_promotions": 0.0,
+    "greedy_promotions": 1191.0,
+    "promotion_saving": 1191.0,
+}
+
+
 def _run_variants(shared_policy):
     config = SystemExperimentConfig(
         n_blocks=256, n_requests=N_REQUESTS, seed=BENCH_SEED
@@ -62,11 +73,8 @@ def _run_variants(shared_policy):
     return out
 
 
-def test_ablation_hlo_rule(benchmark, results_dir, shared_policy, bench_case):
-    bench_case.configure(n_requests=N_REQUESTS, workload="fin-2")
-    results = benchmark.pedantic(
-        _run_variants, args=(shared_policy,), rounds=1, iterations=1
-    )
+def test_ablation_hlo_rule(results_dir, shared_policy):
+    results = _run_variants(shared_policy)
 
     lines = ["policy         response (us)  extra levels  promotions  migr. programs"]
     for name, row in results.items():
@@ -82,18 +90,16 @@ def test_ablation_hlo_rule(benchmark, results_dir, shared_policy, bench_case):
 
     combined = results["lf-x-lsensing"]
     greedy = results["any-old-page"]
-    bench_case.emit(
-        {
-            "combined_mean_response_us": combined["mean_response_us"],
-            "combined_promotions": combined["promotions"],
-            "combined_migration_programs": combined["migration_programs"],
-            "greedy_promotions": greedy["promotions"],
-            "promotion_saving": greedy["promotions"]
-            / max(combined["promotions"], 1.0),
-        },
-        specs={"promotion_saving": {"direction": "higher"}},
-        table="ablation_hlo_rule",
-    )
+    metrics = {
+        "combined_mean_response_us": combined["mean_response_us"],
+        "combined_promotions": combined["promotions"],
+        "combined_migration_programs": combined["migration_programs"],
+        "greedy_promotions": greedy["promotions"],
+        "promotion_saving": greedy["promotions"]
+        / max(combined["promotions"], 1.0),
+    }
+    if QUICK:
+        assert metrics == QUICK_PINS
     if not QUICK:
         assert combined["promotions"] < greedy["promotions"]
         assert combined["migration_programs"] < greedy["migration_programs"]

@@ -17,6 +17,17 @@ from repro.ftl.wear_leveling import WearLeveler, erase_spread
 N_WRITES = 8_000 if QUICK else 30_000
 
 
+#: Exact quick-mode values of the headline metrics at seed
+#: ``BENCH_SEED``; the test asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "greedy_erase_spread": 5.0,
+    "leveled_erase_spread": 5.0,
+    "leveled_max_pe_delta": 5.0,
+    "leveled_write_amplification": 1.0945,
+    "wl_moves": 0.0,
+}
+
+
 def _run(leveler):
     config = SsdConfig(n_blocks=128, pages_per_block=32, gc_free_block_threshold=2)
     prefill = int(config.logical_pages * 0.9)
@@ -35,16 +46,11 @@ def _run(leveler):
     }
 
 
-def test_ablation_wear_leveling(benchmark, results_dir, bench_case):
-    bench_case.configure(n_writes=N_WRITES, n_blocks=128)
-
-    def run_both():
-        return {
-            "greedy-only": _run(None),
-            "wear-leveled": _run(WearLeveler(spread_threshold=10, check_interval=12)),
-        }
-
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_ablation_wear_leveling(results_dir):
+    results = {
+        "greedy-only": _run(None),
+        "wear-leveled": _run(WearLeveler(spread_threshold=10, check_interval=12)),
+    }
 
     lines = ["policy        erase spread  max erases  total erases  WL moves  WA"]
     for name, row in results.items():
@@ -59,17 +65,15 @@ def test_ablation_wear_leveling(benchmark, results_dir, bench_case):
     write_table(results_dir, "ablation_wear_leveling", lines)
 
     plain, leveled = results["greedy-only"], results["wear-leveled"]
-    bench_case.emit(
-        {
-            "greedy_erase_spread": plain["spread"],
-            "leveled_erase_spread": leveled["spread"],
-            "leveled_max_pe_delta": leveled["max_pe_delta"],
-            "leveled_write_amplification": leveled["write_amplification"],
-            "wl_moves": leveled["wl_moves"],
-        },
-        specs={"wl_moves": {"direction": "lower", "tolerance": 0.25}},
-        table="ablation_wear_leveling",
-    )
+    metrics = {
+        "greedy_erase_spread": plain["spread"],
+        "leveled_erase_spread": leveled["spread"],
+        "leveled_max_pe_delta": leveled["max_pe_delta"],
+        "leveled_write_amplification": leveled["write_amplification"],
+        "wl_moves": leveled["wl_moves"],
+    }
+    if QUICK:
+        assert metrics == QUICK_PINS
     if not QUICK:
         # Quick-scale write counts never hit the leveler's trigger.
         assert leveled["wl_moves"] > 0

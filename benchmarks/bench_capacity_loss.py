@@ -5,7 +5,15 @@ Paper claims: limiting LevelAdjust to a 64 GB pool of a 256 GB system
 capacity; the observed loss per workload is at most that bound.
 """
 
-from conftest import BENCH_WORKLOADS, write_table
+from conftest import BENCH_WORKLOADS, QUICK, write_table
+
+
+#: Exact quick-mode values of the headline metrics; the test
+#: asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "max_capacity_loss": 0.007034883720930233,
+    "mean_capacity_loss": 0.0035174418604651163,
+}
 
 
 def _capacity_report(matrix, logical_pages):
@@ -21,14 +29,9 @@ def _capacity_report(matrix, logical_pages):
     return report
 
 
-def test_capacity_loss(benchmark, results_dir, matrix_6000, experiment_config, bench_case):
+def test_capacity_loss(results_dir, matrix_6000, experiment_config):
     logical = experiment_config.ssd_config().logical_pages
-    bench_case.configure(
-        n_requests=experiment_config.n_requests, workloads=list(BENCH_WORKLOADS)
-    )
-    report = benchmark.pedantic(
-        _capacity_report, args=(matrix_6000, logical), rounds=1, iterations=1
-    )
+    report = _capacity_report(matrix_6000, logical)
 
     bound = 0.25 * 0.25  # full pool at 25 % density loss = 6.25 %
     lines = ["workload  reduced fraction  capacity loss (25% of it)"]
@@ -44,13 +47,12 @@ def test_capacity_loss(benchmark, results_dir, matrix_6000, experiment_config, b
     write_table(results_dir, "capacity_loss", lines)
 
     losses = [report[w]["capacity_loss_fraction"] for w in BENCH_WORKLOADS]
-    bench_case.emit(
-        {
-            "max_capacity_loss": max(losses),
-            "mean_capacity_loss": sum(losses) / len(losses),
-        },
-        table="capacity_loss",
-    )
+    metrics = {
+        "max_capacity_loss": max(losses),
+        "mean_capacity_loss": sum(losses) / len(losses),
+    }
+    if QUICK:
+        assert metrics == QUICK_PINS
 
     for workload in BENCH_WORKLOADS:
         loss = report[workload]["capacity_loss_fraction"]

@@ -7,9 +7,9 @@ leave on for any observability run.  This bench pins that promise: the
 DES engine's wall requests/sec with telemetry attached must stay within
 a few percent of the detached run, and the simulated event counts must
 be byte-identical (the estimator never touches simulation RNG
-streams).  Both wall rates are gated higher-is-better in the same wide
-band, so a host faster than the recorded one never reads as a
-regression.
+streams).  In quick mode both wall rates also have a floor, a wide
+band below their recorded values, so a host faster than the recorded
+one never fails it.
 
 Best-of-N minimum wall timing, same as the event-loop throughput
 bench: the minimum is the least noisy estimator on a busy runner.
@@ -36,13 +36,26 @@ ROUNDS = 2 if QUICK else 3
 #: Gate band for the attached/detached throughput ratio.  The declared
 #: budget is 10 % overhead (one binomial draw plus ~a dozen scalar
 #: accumulator updates per flash read, measured in situ); quick mode's
-#: tiny traces are noisier, so the in-test assertion widens there while
-#: the ledger still records the measured ratio for the cross-PR gate.
+#: tiny traces are noisier, so the assertion widens there.
 OVERHEAD_BUDGET = 0.25 if QUICK else 0.10
 
-#: Relative flat band for the wall-throughput rates: runners differ by
-#: far more than telemetry changes do.
+#: Quick-mode wall results, recorded on a 2-core x86 host: requests/s
+#: detached ("off") and attached ("on"), and their ratio.
+RECORDED_REQUESTS_PER_S = {"off": 19199.915151822017, "on": 16276.027758908322}
+RECORDED_RATIO = 0.8477135253050206
+
+#: Relative bands below the recorded values: runners differ by far
+#: more than telemetry changes do.
 WALL_TOLERANCE = 0.60
+RATIO_TOLERANCE = 0.20
+
+
+#: Exact quick-mode values of the headline metrics at seed
+#: ``BENCH_SEED``; the test asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "events_total_off": 8000.0,
+    "events_total_on": 8000.0,
+}
 
 
 def _build_engine(policy, telemetry):
@@ -88,20 +101,8 @@ def run_overhead(policy):
     return best, fingerprints
 
 
-def test_channel_telemetry_overhead(
-    benchmark, results_dir, shared_policy, bench_case
-):
-    bench_case.configure(
-        workload=WORKLOAD,
-        n_requests=N_REQUESTS,
-        n_channels=N_CHANNELS,
-        rounds=ROUNDS,
-        retry_seed=2015,
-        overhead_budget=OVERHEAD_BUDGET,
-    )
-    best, fingerprints = benchmark.pedantic(
-        run_overhead, args=(shared_policy,), rounds=1, iterations=1
-    )
+def test_channel_telemetry_overhead(results_dir, shared_policy):
+    best, fingerprints = run_overhead(shared_policy)
     off, on = best["off"], best["on"]
     ratio = on.wall_requests_per_s() / off.wall_requests_per_s()
 
@@ -118,21 +119,18 @@ def test_channel_telemetry_overhead(
     ]
     write_table(results_dir, "channel_telemetry", lines)
 
+    # Determinism pins: identical event counts with and without the
+    # sink, and same-seed telemetry runs share one fingerprint.
     metrics = {
-        "requests_per_s_off": off.wall_requests_per_s(),
-        "requests_per_s_on": on.wall_requests_per_s(),
-        "throughput_ratio": ratio,
-        # Determinism pins: identical event counts with and without the
-        # sink, and same-seed telemetry runs share one fingerprint.
         "events_total_off": float(off.wall_events),
         "events_total_on": float(on.wall_events),
     }
-    specs = {
-        "requests_per_s_off": {"direction": "higher", "tolerance": WALL_TOLERANCE},
-        "requests_per_s_on": {"direction": "higher", "tolerance": WALL_TOLERANCE},
-        "throughput_ratio": {"direction": "higher", "tolerance": 0.20},
-    }
-    bench_case.emit(metrics, specs, table="channel_telemetry")
+    if QUICK:
+        assert metrics == QUICK_PINS
+        for kind, recorded in RECORDED_REQUESTS_PER_S.items():
+            floor = (1.0 - WALL_TOLERANCE) * recorded
+            assert best[kind].wall_requests_per_s() >= floor, kind
+        assert ratio >= (1.0 - RATIO_TOLERANCE) * RECORDED_RATIO
 
     # Attaching telemetry never changes the simulated event stream.
     assert on.wall_events == off.wall_events

@@ -7,7 +7,7 @@ the paper workloads through the discrete-event multi-channel engine
 (4 channels, read retry on) and reports p50/p95/p99 response times and
 per-channel utilization for all four storage systems.
 
-Quick mode (``repro bench run --quick`` / ``REPRO_BENCH_QUICK=1``)
+Quick mode (``REPRO_BENCH_QUICK=1``)
 shrinks the workload set and trace length: import-rot and wiring
 coverage only, not meaningful numbers.
 """
@@ -22,6 +22,21 @@ from repro.traces.workloads import make_workload
 
 N_CHANNELS = 4
 N_REQUESTS = 3_000 if QUICK else 20_000
+
+
+#: Exact quick-mode values of the headline metrics at seed
+#: ``BENCH_SEED``; the test asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "fin-2.baseline.mean_response_us": 551.1049915130146,
+    "fin-2.baseline.p99_response_us": 2000.0,
+    "fin-2.flexlevel.mean_response_us": 355.9620062859196,
+    "fin-2.flexlevel.p99_response_us": 1460.0,
+    "flexlevel_vs_baseline_p99_ratio": 0.7101295599335522,
+    "web-1.baseline.mean_response_us": 1388.3335152371592,
+    "web-1.baseline.p99_response_us": 5139.147120060655,
+    "web-1.flexlevel.mean_response_us": 886.6182911641328,
+    "web-1.flexlevel.p99_response_us": 3547.3431679606315,
+}
 
 
 def run_matrix(shared_policy):
@@ -47,14 +62,8 @@ def run_matrix(shared_policy):
     return results
 
 
-def test_des_tail_latency(benchmark, results_dir, shared_policy, bench_case):
-    bench_case.configure(
-        n_channels=N_CHANNELS,
-        n_requests=N_REQUESTS,
-        workloads=list(BENCH_WORKLOADS),
-        retry_seed=2015,
-    )
-    results = benchmark.pedantic(run_matrix, args=(shared_policy,), rounds=1, iterations=1)
+def test_des_tail_latency(results_dir, shared_policy):
+    results = run_matrix(shared_policy)
 
     lines = [
         f"DES engine, {N_CHANNELS} channels, read retry on, "
@@ -98,7 +107,8 @@ def test_des_tail_latency(benchmark, results_dir, shared_policy, bench_case):
             metrics[f"{prefix}.p99_response_us"] = result.percentiles()[
                 "p99_response_us"
             ]
-    bench_case.emit(metrics, table="des_tail_latency")
+    if QUICK:
+        assert metrics == QUICK_PINS
 
     # Every (workload, system) cell must have produced sane tail metrics.
     for result in results.values():

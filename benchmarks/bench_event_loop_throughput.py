@@ -7,17 +7,17 @@ read retry (the CLI default) and the single FIFO queue without retry
 that the Fig. 6/7 drivers, the ablations and the crash bench run — and
 records wall-clock requests/sec straight from the engine's own loop
 accounting (``DesSimulationResult.wall_*``, the same counters behind
-the ``sim.wall.*`` gauges and every bench's ``wall`` sidecar).
+the ``sim.wall.*`` gauges).
 Requests/sec, not events/sec, is the gated rate: the event count per
 request is a design choice of the loop (an arrival and a completion),
 so an events/sec floor would reward scheduling events that change
 nothing.
 
-Wall throughput is machine-dependent, so the gated specs declare a
-wide tolerance — the gate catches "the loop got several times slower",
-not runner-to-runner jitter — while the simulated event counts are
-exact determinism pins: same seed, same trace, same event count, on
-any machine.
+Wall throughput is machine-dependent, so its quick-mode floor is a
+wide band below the recorded rate — the gate catches "the loop got
+several times slower", not runner-to-runner jitter — while the
+simulated event counts are exact determinism pins: same seed, same
+trace, same event count, on any machine.
 
 Quick mode shrinks the trace: wiring coverage and a coarse floor, not
 a careful measurement.
@@ -37,15 +37,27 @@ N_REQUESTS = 4_000 if QUICK else 30_000
 #: the loop's true cost on a busy CI runner.
 ROUNDS = 2 if QUICK else 3
 
-#: Relative flat band for the wall-throughput floors.  Heterogeneous
-#: runners differ by far more than simulation changes do, so the gate
-#: only fires on a multiple-x slowdown — the determinism pins below
-#: carry the tight comparisons.
+#: Quick-mode requests/s per layout, recorded on a 2-core x86 host.
+RECORDED_REQUESTS_PER_S = {"des": 23090.23135378909, "single": 34734.98974294814}
+
+#: Relative band below the recorded rates.  Heterogeneous runners
+#: differ by far more than simulation changes do, so the floor only
+#: fires on a multiple-x slowdown — the determinism pins below carry
+#: the tight comparisons.
 WALL_TOLERANCE = 0.60
 
 
 #: Engine layouts: name -> (channels, read retry).
 LAYOUTS = {"des": (N_CHANNELS, True), "single": (1, False)}
+
+
+#: Exact quick-mode values of the headline metrics at seed
+#: ``BENCH_SEED``; the test asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "des_events_per_request": 2.0,
+    "des_events_total": 8000.0,
+    "single_events_total": 8000.0,
+}
 
 
 def _build_engine(layout: str, policy):
@@ -85,17 +97,8 @@ def run_throughput(policy):
     return best
 
 
-def test_event_loop_throughput(benchmark, results_dir, shared_policy, bench_case):
-    bench_case.configure(
-        workload=WORKLOAD,
-        n_requests=N_REQUESTS,
-        n_channels=N_CHANNELS,
-        rounds=ROUNDS,
-        retry_seed=2015,
-    )
-    best = benchmark.pedantic(
-        run_throughput, args=(shared_policy,), rounds=1, iterations=1
-    )
+def test_event_loop_throughput(results_dir, shared_policy):
+    best = run_throughput(shared_policy)
     des, single = best["des"], best["single"]
 
     lines = [
@@ -110,25 +113,18 @@ def test_event_loop_throughput(benchmark, results_dir, shared_policy, bench_case
         )
     write_table(results_dir, "event_loop_throughput", lines)
 
+    # Determinism pins: simulated event counts depend only on the seed
+    # and config, never on the machine.
     metrics = {
-        # Wall-throughput floors (wide band, higher is better).
-        "des_requests_per_s": des.wall_requests_per_s(),
-        "single_requests_per_s": single.wall_requests_per_s(),
-        # Determinism pins: simulated event counts depend only on the
-        # seed and config, never on the machine.
         "des_events_total": float(des.wall_events),
         "des_events_per_request": des.wall_events / des.wall_requests,
         "single_events_total": float(single.wall_events),
     }
-    specs = {
-        "des_requests_per_s": {
-            "direction": "higher", "tolerance": WALL_TOLERANCE,
-        },
-        "single_requests_per_s": {
-            "direction": "higher", "tolerance": WALL_TOLERANCE,
-        },
-    }
-    bench_case.emit(metrics, specs, table="event_loop_throughput")
+    if QUICK:
+        assert metrics == QUICK_PINS
+        for layout, recorded in RECORDED_REQUESTS_PER_S.items():
+            floor = (1.0 - WALL_TOLERANCE) * recorded
+            assert best[layout].wall_requests_per_s() >= floor, layout
 
     for result in best.values():
         # The loop actually ran and accounted its wall time.

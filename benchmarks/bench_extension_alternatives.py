@@ -23,6 +23,19 @@ N_REQUESTS = 4_000 if QUICK else 25_000
 _WORKLOADS = ("fin-2",) if QUICK else ("fin-2", "web-1", "prj-1")
 
 
+#: Exact quick-mode values of the headline metrics at seed
+#: ``BENCH_SEED``; the test asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "flexlevel_capacity_loss": 0.0,
+    "flexlevel_mean_response_us": 353.81628515771797,
+    "ldpc_in_ssd_mean_response_us": 353.81628515771797,
+    "ldpc_in_ssd_progressive_mean_response_us": 561.726476708941,
+    "refresh_mean_response_us": 448.9846267055668,
+    "refresh_total_programs": 1191.0,
+    "slc_cache_mean_response_us": 353.81628515771797,
+}
+
+
 def _run_alternatives(shared_policy):
     config = SystemExperimentConfig(
         n_blocks=256, n_requests=N_REQUESTS, seed=BENCH_SEED
@@ -79,11 +92,8 @@ def _run_alternatives(shared_policy):
     return summary
 
 
-def test_extension_alternatives(benchmark, results_dir, shared_policy, bench_case):
-    bench_case.configure(n_requests=N_REQUESTS, workloads=list(_WORKLOADS))
-    results = benchmark.pedantic(
-        _run_alternatives, args=(shared_policy,), rounds=1, iterations=1
-    )
+def test_extension_alternatives(results_dir, shared_policy):
+    results = _run_alternatives(shared_policy)
 
     lines = [f"means over {', '.join(_WORKLOADS)}:",
              "system                    response (us)  extra lvls  programs  capacity loss"]
@@ -98,17 +108,14 @@ def test_extension_alternatives(benchmark, results_dir, shared_policy, bench_cas
     lines.append("flexlevel/slc-cache spend capacity; progressive retry spends latency.")
     write_table(results_dir, "extension_alternatives", lines)
 
-    bench_case.emit(
-        {
-            f"{name.replace('-', '_')}_mean_response_us": row["mean_response_us"]
-            for name, row in results.items()
-        }
-        | {
-            "flexlevel_capacity_loss": results["flexlevel"]["capacity_loss"],
-            "refresh_total_programs": results["refresh"]["total_programs"],
-        },
-        table="extension_alternatives",
-    )
+    metrics = {
+        f"{name.replace('-', '_')}_mean_response_us": row["mean_response_us"]
+        for name, row in results.items()
+    }
+    metrics["flexlevel_capacity_loss"] = results["flexlevel"]["capacity_loss"]
+    metrics["refresh_total_programs"] = results["refresh"]["total_programs"]
+    if QUICK:
+        assert metrics == QUICK_PINS
 
     if not QUICK:
         # Structural expectations.

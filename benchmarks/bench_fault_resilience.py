@@ -29,6 +29,27 @@ PE_CYCLES = 16_000
 WORKLOAD = "fin-2"
 
 
+#: Exact quick-mode values of the headline metrics at seed
+#: ``BENCH_SEED``; the test asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "scale_0.blocks_retired": 0.0,
+    "scale_0.p99_response_us": 2885.896945086044,
+    "scale_0.read_only": 0.0,
+    "scale_0.scrub_refreshed_pages": 0.0,
+    "scale_0.uncorrectable_rate": 0.0,
+    "scale_10.blocks_retired": 4.0,
+    "scale_10.p99_response_us": 2409.6301925379257,
+    "scale_10.read_only": 0.0,
+    "scale_10.scrub_refreshed_pages": 1054.0,
+    "scale_10.uncorrectable_rate": 0.009597806215722121,
+    "scale_100.blocks_retired": 5.0,
+    "scale_100.p99_response_us": 2379.110013781726,
+    "scale_100.read_only": 1.0,
+    "scale_100.scrub_refreshed_pages": 160.0,
+    "scale_100.uncorrectable_rate": 0.06444241316270567,
+}
+
+
 def run_sweep(shared_policy):
     ssd_config = SsdConfig(
         n_blocks=256, pages_per_block=64, initial_pe_cycles=PE_CYCLES
@@ -61,17 +82,8 @@ def run_sweep(shared_policy):
     return results
 
 
-def test_fault_resilience(benchmark, results_dir, shared_policy, bench_case):
-    bench_case.configure(
-        n_channels=N_CHANNELS,
-        n_requests=N_REQUESTS,
-        pe_cycles=PE_CYCLES,
-        workload=WORKLOAD,
-        fault_scales=list(FAULT_SCALES),
-    )
-    results = benchmark.pedantic(
-        run_sweep, args=(shared_policy,), rounds=1, iterations=1
-    )
+def test_fault_resilience(results_dir, shared_policy):
+    results = run_sweep(shared_policy)
 
     lines = [
         f"flexlevel, DES engine, {N_CHANNELS} channels, {WORKLOAD}, "
@@ -100,7 +112,8 @@ def test_fault_resilience(benchmark, results_dir, shared_policy, bench_case):
             stats.scrub_refreshed_pages
         )
     write_table(results_dir, "fault_resilience", lines)
-    bench_case.emit(metrics, table="fault_resilience")
+    if QUICK:
+        assert metrics == QUICK_PINS
 
     # Scale 0 is a clean run: no fault counters, no fault stats keys.
     clean_result, clean_system = results[0.0]

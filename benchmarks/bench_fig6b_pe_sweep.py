@@ -11,13 +11,17 @@ from repro.analysis.experiments import SystemExperimentConfig
 _PE_POINTS = (4000, 5000, 6000)
 
 
-def test_fig6b_pe_sweep(benchmark, results_dir, experiment_config, shared_policy, bench_case):
+#: Exact quick-mode values of the headline metrics at seed
+#: ``BENCH_SEED``; the test asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "reduction_pe4000": 0.0,
+    "reduction_pe5000": 0.0,
+    "reduction_pe6000": 0.0,
+}
+
+
+def test_fig6b_pe_sweep(results_dir, experiment_config, shared_policy):
     n_requests = experiment_config.n_requests // 2
-    bench_case.configure(
-        n_requests=n_requests,
-        workloads=list(BENCH_WORKLOADS),
-        pe_points=list(_PE_POINTS),
-    )
 
     def run():
         # Reuse the session policy's BER cache across P/E points.
@@ -44,7 +48,7 @@ def test_fig6b_pe_sweep(benchmark, results_dir, experiment_config, shared_policy
             reductions[pe] = 1.0 - sum(ratios) / len(ratios)
         return reductions
 
-    reductions = benchmark.pedantic(run, rounds=1, iterations=1)
+    reductions = run()
 
     lines = ["P/E     response-time reduction vs ldpc-in-ssd"]
     for pe, reduction in sorted(reductions.items()):
@@ -53,11 +57,9 @@ def test_fig6b_pe_sweep(benchmark, results_dir, experiment_config, shared_policy
     lines.append("paper: +21% at 4000 rising to +33% at 6000")
     write_table(results_dir, "fig6b_pe_sweep", lines)
 
-    bench_case.emit(
-        {f"reduction_pe{pe}": reductions[pe] for pe in _PE_POINTS},
-        specs={f"reduction_pe{pe}": {"direction": "higher"} for pe in _PE_POINTS},
-        table="fig6b_pe_sweep",
-    )
+    metrics = {f"reduction_pe{pe}": reductions[pe] for pe in _PE_POINTS}
+    if QUICK:
+        assert metrics == QUICK_PINS
 
     if not QUICK:
         # Paper shape: the gain exists at high wear and grows with P/E.

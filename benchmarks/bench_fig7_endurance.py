@@ -13,6 +13,15 @@ from conftest import BENCH_WORKLOADS, QUICK, write_table
 from repro.ftl.lifetime import lifetime_ratio
 
 
+#: Exact quick-mode values of the headline metrics; the test
+#: asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "median_erase_increase": 0.0,
+    "median_lifetime_ratio": 0.7,
+    "median_write_increase": 181.0,
+}
+
+
 def _endurance_report(matrix):
     by_workload = {}
     for run in matrix:
@@ -39,11 +48,8 @@ def _endurance_report(matrix):
     return report
 
 
-def test_fig7_endurance(benchmark, results_dir, matrix_6000, bench_case):
-    bench_case.configure(workloads=list(BENCH_WORKLOADS))
-    report = benchmark.pedantic(
-        _endurance_report, args=(matrix_6000,), rounds=1, iterations=1
-    )
+def test_fig7_endurance(results_dir, matrix_6000):
+    report = _endurance_report(matrix_6000)
 
     lines = ["workload  write increase  erase increase  lifetime ratio"]
     for workload in BENCH_WORKLOADS:
@@ -75,15 +81,13 @@ def test_fig7_endurance(benchmark, results_dir, matrix_6000, bench_case):
     )
     write_table(results_dir, "fig7_endurance", lines)
 
-    bench_case.emit(
-        {
-            "median_write_increase": median_write,
-            "median_erase_increase": median_erase,
-            "median_lifetime_ratio": median_lifetime,
-        },
-        specs={"median_lifetime_ratio": {"direction": "higher"}},
-        table="fig7_endurance",
-    )
+    metrics = {
+        "median_write_increase": median_write,
+        "median_erase_increase": median_erase,
+        "median_lifetime_ratio": median_lifetime,
+    }
+    if QUICK:
+        assert metrics == QUICK_PINS
 
     # Overheads exist but never go negative at any scale.
     assert all(w >= 0.0 for w in finite_writes)

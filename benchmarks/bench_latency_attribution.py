@@ -4,13 +4,13 @@ Where ``bench_des_tail_latency`` measures *how much* faster FlexLevel's
 tail is, this bench measures *why*: it replays the paper workloads
 through the DES engine with every post-warmup request traced
 (``sample_every=1``), runs the critical-path attribution engine over
-the span trees, and ledgers the blame — what share of total and p99+
+the span trees, and reports the blame — what share of total and p99+
 latency each system spends on LDPC decode and retry sensing versus
 queueing and GC.  The paper's claim in blame terms: FlexLevel's
 adaptive sensing cuts the absolute decode-plus-retry microseconds well
 below the worst-case-provisioned baseline's.  (The *fraction* can move
 the other way — FlexLevel shrinks total latency faster than decode
-time — which is exactly why both views are ledgered.)
+time — which is exactly why both views are reported.)
 
 All emitted metrics are virtual-time fractions, so a fixed seed and
 config reproduce them exactly — safe for the regression gate.
@@ -24,7 +24,7 @@ from conftest import BENCH_SEED, BENCH_WORKLOADS, QUICK, write_table
 
 from repro.baselines.systems import SystemConfig, build_system
 from repro.ftl.config import SsdConfig
-from repro.obs import AttributionReport, MetricSpec, Tracer
+from repro.obs import AttributionReport, Tracer
 from repro.sim import (
     DesSimulationEngine,
     ReadRetryConfig,
@@ -40,6 +40,21 @@ SYSTEMS = ("baseline", "flexlevel")
 #: The causes the paper's argument is about: sensing-ladder time the
 #: baseline's worst-case provisioning spends and FlexLevel avoids.
 DECODE_CAUSES = ("ldpc_decode", "retry")
+
+
+#: Exact quick-mode values of the headline metrics at seed
+#: ``BENCH_SEED``; the test asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "fin-2.baseline.decode_retry_fraction": 0.12207147654027546,
+    "fin-2.baseline.p99_decode_retry_fraction": 0.19465952222939192,
+    "fin-2.flexlevel.decode_retry_fraction": 0.1658023191282591,
+    "fin-2.flexlevel.p99_decode_retry_fraction": 0.1981582121308626,
+    "flexlevel_vs_baseline_decode_retry_us_ratio": 0.8990202631393794,
+    "web-1.baseline.decode_retry_fraction": 0.09955586160124218,
+    "web-1.baseline.p99_decode_retry_fraction": 0.05151850519837746,
+    "web-1.flexlevel.decode_retry_fraction": 0.1427540687126188,
+    "web-1.flexlevel.p99_decode_retry_fraction": 0.08653750030914033,
+}
 
 
 def run_reports(shared_policy):
@@ -80,17 +95,8 @@ def decode_us(report, band="all"):
     return sum(table[cause] for cause in DECODE_CAUSES)
 
 
-def test_latency_attribution(benchmark, results_dir, shared_policy, bench_case):
-    bench_case.configure(
-        n_channels=N_CHANNELS,
-        n_requests=N_REQUESTS,
-        workloads=list(BENCH_WORKLOADS),
-        retry_seed=2015,
-        sample_every=1,
-    )
-    reports = benchmark.pedantic(
-        run_reports, args=(shared_policy,), rounds=1, iterations=1
-    )
+def test_latency_attribution(results_dir, shared_policy):
+    reports = run_reports(shared_policy)
 
     lines = [
         f"DES engine, {N_CHANNELS} channels, read retry on, every request "
@@ -137,15 +143,8 @@ def test_latency_attribution(benchmark, results_dir, shared_policy, bench_case):
         f"{mean_ratio:.3f}"
     )
     write_table(results_dir, "latency_attribution", lines)
-    bench_case.emit(
-        metrics,
-        specs={
-            "flexlevel_vs_baseline_decode_retry_us_ratio": MetricSpec(
-                direction="lower"
-            )
-        },
-        table="latency_attribution",
-    )
+    if QUICK:
+        assert metrics == QUICK_PINS
 
     # Attribution must be exact and the bands well-formed at any scale.
     for report in reports.values():

@@ -43,6 +43,17 @@ FAULT_PE_CYCLES = 16_000
 FAULT_SCALE = 100.0
 
 
+#: Exact quick-mode values of the headline metrics at seed
+#: ``BENCH_SEED``; the test asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "fault.alerts": 30.0,
+    "fault.first_alert_window": 14.0,
+    "fault.uncorrectable_alerts": 19.0,
+    "fault.windows_closed": 4261.0,
+    "fault_free.alerts": 0.0,
+}
+
+
 def run_monitored(shared_policy, faulty: bool):
     pe = FAULT_PE_CYCLES if faulty else 0
     ssd_config = SsdConfig(
@@ -78,23 +89,9 @@ def run_monitored(shared_policy, faulty: bool):
     return monitor
 
 
-def test_monitor_detection(benchmark, results_dir, shared_policy, bench_case):
-    bench_case.configure(
-        n_channels=N_CHANNELS,
-        n_requests=N_REQUESTS,
-        workload=WORKLOAD,
-        window_us=WINDOW_US,
-        fault_pe_cycles=FAULT_PE_CYCLES,
-        fault_scale=FAULT_SCALE,
-    )
-
-    def run_both():
-        return (
-            run_monitored(shared_policy, faulty=False),
-            run_monitored(shared_policy, faulty=True),
-        )
-
-    clean, faulty = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_monitor_detection(results_dir, shared_policy):
+    clean = run_monitored(shared_policy, faulty=False)
+    faulty = run_monitored(shared_policy, faulty=True)
 
     first_window = faulty.alerts[0].window if faulty.alerts else -1
     by_rule: dict[str, int] = {}
@@ -129,23 +126,11 @@ def test_monitor_detection(benchmark, results_dir, shared_policy, bench_case):
         ),
         "fault.windows_closed": float(faulty.windows_closed),
     }
-    bench_case.emit(
-        metrics,
-        specs={
-            # Any fault-free alert is a false positive: against a
-            # baseline of 0 the relative change is infinite, so a
-            # single one is a gated regression at any tolerance.
-            "fault_free.alerts": {"direction": "lower"},
-            # Detection latency: windows until the first genuine alert.
-            "fault.first_alert_window": {"direction": "lower"},
-            "fault.alerts": {"direction": "higher"},
-            "fault.uncorrectable_alerts": {"direction": "higher"},
-        },
-        table="monitor_detection",
-    )
+    if QUICK:
+        assert metrics == QUICK_PINS
 
     # The zero-false-positive bound and the detection floor, asserted
-    # directly so even un-gated runs fail loudly.
+    # directly so full-mode runs, which have no pins, fail loudly too.
     assert clean.n_alerts == 0
     assert faulty.n_alerts >= 1
     assert first_window >= 0

@@ -25,7 +25,6 @@ from conftest import BENCH_SEED, QUICK, write_table
 
 from repro.baselines.systems import SystemConfig, build_system
 from repro.ftl.config import SsdConfig
-from repro.obs import MetricSpec
 from repro.serve import ServeEngine, TenantSpec
 
 N_CHANNELS = 4
@@ -40,6 +39,29 @@ SLO_US = 2_000.0
 #: 10x neighbor.  FIFO fails this bound by a wide margin (its ratio is
 #: additionally asserted to exceed WFQ's).
 WFQ_ISOLATION_BOUND = 5.0
+
+
+#: Exact quick-mode values of the headline metrics at seed
+#: ``BENCH_SEED``; the test asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "edf_noisy_p99_us": 12577.260306985956,
+    "edf_rejected": 0.0,
+    "edf_victim_p99_ratio": 9.351910460333743,
+    "edf_victim_p99_us": 11380.234804890839,
+    "edf_victim_violation_rate": 0.3333333333333333,
+    "fifo_noisy_p99_us": 12577.260306985956,
+    "fifo_over_wfq_victim_p99": 2.550125223169944,
+    "fifo_rejected": 0.0,
+    "fifo_victim_p99_ratio": 9.351910460333743,
+    "fifo_victim_p99_us": 11380.234804890839,
+    "fifo_victim_violation_rate": 0.3333333333333333,
+    "isolated_victim_p99_us": 1216.8887686810372,
+    "wfq_noisy_p99_us": 21456.59404499774,
+    "wfq_rejected": 0.0,
+    "wfq_victim_p99_ratio": 3.667235779390006,
+    "wfq_victim_p99_us": 4462.618032044948,
+    "wfq_victim_violation_rate": 0.11666666666666667,
+}
 
 
 def make_system():
@@ -94,17 +116,8 @@ def run_all():
     return runs
 
 
-def test_multi_tenant_qos(benchmark, results_dir, bench_case):
-    bench_case.configure(
-        n_channels=N_CHANNELS,
-        n_requests=N_REQUESTS,
-        n_victims=N_VICTIMS,
-        victim_rate_x=VICTIM_RATE,
-        noisy_rate_x=NOISY_RATE,
-        slo_us=SLO_US,
-        isolation_bound=WFQ_ISOLATION_BOUND,
-    )
-    runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_multi_tenant_qos(results_dir):
+    runs = run_all()
 
     iso_p99 = runs["isolated"].tenant_quantile(0, 99)
     metrics = {"isolated_victim_p99_us": iso_p99}
@@ -146,14 +159,8 @@ def test_multi_tenant_qos(benchmark, results_dir, bench_case):
         f"(wfq isolation bound: {WFQ_ISOLATION_BOUND:g}x isolated)"
     )
     write_table(results_dir, "multi_tenant_qos", lines)
-    bench_case.emit(
-        metrics,
-        specs={
-            "wfq_victim_p99_ratio": MetricSpec(direction="lower"),
-            "fifo_over_wfq_victim_p99": MetricSpec(direction="higher"),
-        },
-        table="multi_tenant_qos",
-    )
+    if QUICK:
+        assert metrics == QUICK_PINS
 
     # Structural invariants hold at any scale: identical offered work
     # (completions may differ — a scheduler that makes the flooder eat

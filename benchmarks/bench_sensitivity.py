@@ -13,11 +13,17 @@ from repro.analysis.sensitivity import run_sensitivity
 _FACTORS = (0.8,) if QUICK else (0.8, 1.25)
 
 
-def test_sensitivity(benchmark, results_dir, bench_case):
-    bench_case.configure(factors=list(_FACTORS))
-    results = benchmark.pedantic(
-        run_sensitivity, rounds=1, iterations=1, kwargs={"factors": _FACTORS}
-    )
+#: Exact quick-mode values of the headline metrics; the test
+#: asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "max_cells_changed": 14.0,
+    "max_level_delta": 3.0,
+    "n_fragile": 0.0,
+}
+
+
+def test_sensitivity(results_dir):
+    results = run_sensitivity(factors=_FACTORS)
 
     lines = ["constant      factor  cells changed  max delta  shape preserved"]
     for result in results:
@@ -35,14 +41,13 @@ def test_sensitivity(benchmark, results_dir, bench_case):
     )
     write_table(results_dir, "sensitivity", lines)
 
-    bench_case.emit(
-        {
-            "n_fragile": len(fragile),
-            "max_cells_changed": max(r.cells_changed for r in results),
-            "max_level_delta": max(r.max_level_delta for r in results),
-        },
-        table="sensitivity",
-    )
+    metrics = {
+        "n_fragile": len(fragile),
+        "max_cells_changed": max(r.cells_changed for r in results),
+        "max_level_delta": max(r.max_level_delta for r in results),
+    }
+    if QUICK:
+        assert metrics == QUICK_PINS
 
     assert not fragile
     # The matrix is genuinely sensitive to the constants (cells move),

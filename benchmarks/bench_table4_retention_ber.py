@@ -17,12 +17,18 @@ from repro.analysis.experiments import (
 _PE_GRID = (2000, 4000, 6000) if QUICK else (2000, 3000, 4000, 5000, 6000)
 
 
-def test_table4_retention_ber(benchmark, results_dir, bench_case):
-    bench_case.configure(pe_grid=list(_PE_GRID))
-    results = benchmark.pedantic(
-        run_table4_retention_ber, rounds=1, iterations=1,
-        kwargs={"pe_grid": _PE_GRID},
-    )
+#: Exact quick-mode values of the headline metrics; the test
+#: asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "baseline_vs_paper_geomean": 0.9770777976078139,
+    "nunma1_reduction": 2.36173962479413,
+    "nunma2_reduction": 3.2201400080739857,
+    "nunma3_reduction": 9.1844913307849,
+}
+
+
+def test_table4_retention_ber(results_dir):
+    results = run_table4_retention_ber(pe_grid=_PE_GRID)
 
     header = "P/E    scheme    " + "  ".join(f"{label:>9s}" for _, label in TIME_GRID)
     lines = [header]
@@ -56,29 +62,22 @@ def test_table4_retention_ber(benchmark, results_dir, bench_case):
     )
     write_table(results_dir, "table4_retention_ber", lines)
 
-    bench_case.emit(
-        {
-            "baseline_vs_paper_geomean": geomean,
-            "nunma1_reduction": reductions["nunma1"],
-            "nunma2_reduction": reductions["nunma2"],
-            "nunma3_reduction": reductions["nunma3"],
-        },
-        specs={
-            f"nunma{i}_reduction": {"direction": "higher"} for i in (1, 2, 3)
-        },
-        table="table4_retention_ber",
-    )
+    metrics = {
+        "baseline_vs_paper_geomean": geomean,
+        "nunma1_reduction": reductions["nunma1"],
+        "nunma2_reduction": reductions["nunma2"],
+        "nunma3_reduction": reductions["nunma3"],
+    }
+    if QUICK:
+        assert metrics == QUICK_PINS
 
     assert 0.5 < geomean < 2.0
     assert 1.0 < reductions["nunma1"] < reductions["nunma2"] < reductions["nunma3"]
 
 
-def test_table4_monotone_in_wear_and_time(benchmark, results_dir):
+def test_table4_monotone_in_wear_and_time():
     """Every scheme's BER grows with both P/E count and storage time."""
-    results = benchmark.pedantic(
-        run_table4_retention_ber, rounds=1, iterations=1,
-        kwargs={"pe_grid": (2000, 4000, 6000)},
-    )
+    results = run_table4_retention_ber(pe_grid=(2000, 4000, 6000))
     for scheme, table in results.items():
         for hours in (24.0, 720.0):
             assert table[(2000, hours)] <= table[(4000, hours)] <= table[(6000, hours)]

@@ -6,7 +6,7 @@ range Table 4 spans and verifies the 1e-15 target is reachable
 everywhere with a bounded correction budget.
 """
 
-from conftest import write_table
+from conftest import QUICK, write_table
 
 from repro.device.uber import (
     LDPC_CODEWORD_BITS,
@@ -17,13 +17,17 @@ from repro.device.uber import (
 )
 
 
-def test_uber_requirements(benchmark, results_dir, bench_case):
+#: Exact quick-mode values of the headline metrics; the test
+#: asserts them when ``QUICK`` is set.
+QUICK_PINS = {
+    "required_bits_at_1e3": 83.0,
+    "required_bits_at_corner": 754.0,
+}
+
+
+def test_uber_requirements(results_dir):
     bers = (1e-4, 5e-4, 1e-3, 4e-3, 1e-2, 1.6e-2)
-
-    def run():
-        return {p: required_correctable_bits(p) for p in bers}
-
-    required = benchmark(run)
+    required = {p: required_correctable_bits(p) for p in bers}
 
     lines = [
         f"rate-8/9 LDPC, k={LDPC_INFO_BITS} info bits, "
@@ -37,13 +41,12 @@ def test_uber_requirements(benchmark, results_dir, bench_case):
         lines.append(f"{p:8.1e}  {k:26d}   {achieved:.2e}")
     write_table(results_dir, "uber_requirements", lines)
 
-    bench_case.emit(
-        {
-            "required_bits_at_1e3": required[1e-3],
-            "required_bits_at_corner": required[1.6e-2],
-        },
-        table="uber_requirements",
-    )
+    metrics = {
+        "required_bits_at_1e3": required[1e-3],
+        "required_bits_at_corner": required[1.6e-2],
+    }
+    if QUICK:
+        assert metrics == QUICK_PINS
 
     values = [required[p] for p in bers]
     assert values == sorted(values)  # correction need grows with BER

@@ -1,24 +1,20 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the figure and table benches.
 
 Heavy experiment results (the trace-simulation matrices) are computed
 once per session and shared across benches; every bench writes its
-paper-style table to ``benchmarks/results/`` AND emits a structured
-:class:`~repro.obs.bench.BenchResult` through the ``bench_case``
-fixture — ``BENCH_<name>.json`` at the repo root plus one append-only
-record in ``benchmarks/results/ledger.jsonl``.
+paper-style table to ``benchmarks/results/``.
 
-Quick/full mode and the base seed are NOT per-script knobs: every bench
-reads the shared :data:`QUICK` / :data:`BENCH_SEED` values routed
-through ``REPRO_BENCH_QUICK`` / ``REPRO_BENCH_SEED`` (the ``repro
-bench run`` harness sets them).  Quick mode shrinks scales to CI-smoke
-size — wiring coverage, not meaningful numbers — so quick results are
-ledgered under ``mode="quick"`` and never compared against full runs.
+Quick/full mode is not a per-script knob: every bench reads the shared
+:data:`QUICK` flag from ``REPRO_BENCH_QUICK``.  Quick mode shrinks
+scales to CI-smoke size, and there each bench also asserts its
+headline metrics against the exact values in its ``QUICK_PINS`` dict
+(recorded at seed :data:`BENCH_SEED`).  Full mode is the paper-scale
+run; its shape assertions stay, its numbers are not pinned.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 
 import pytest
@@ -28,32 +24,15 @@ from repro.analysis.experiments import (
     run_workload_matrix,
 )
 from repro.core.level_adjust import LevelAdjustPolicy
-from repro.obs.bench import (
-    ROOT_ENV,
-    RUN_ID_ENV,
-    BenchCase,
-    alloc_mode,
-    bench_name_for,
-    bench_seed,
-    quick_mode,
-)
 from repro.traces.workloads import workload_names
 
-_ROOT = Path(os.environ.get(ROOT_ENV) or Path(__file__).resolve().parent.parent)
-RESULTS_DIR = _ROOT / "benchmarks" / "results"
+RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-QUICK = quick_mode()
-BENCH_SEED = bench_seed()
+QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
-# ``repro bench run --alloc`` routes REPRO_BENCH_ALLOC into each bench
-# subprocess; tracing from import time makes every case's ``wall``
-# section carry a real peak_py_alloc_kb (BenchCase resets the peak at
-# case start so the number brackets one case, not the session).
-if alloc_mode():
-    import tracemalloc
-
-    if not tracemalloc.is_tracing():
-        tracemalloc.start()
+#: The trace seed every bench derives its streams from; the quick pins
+#: hold at this seed only.
+BENCH_SEED = 1
 
 #: The workload set system-level benches sweep (shrunk in quick mode).
 BENCH_WORKLOADS = tuple(workload_names()[:2] if QUICK else workload_names())
@@ -63,29 +42,6 @@ BENCH_WORKLOADS = tuple(workload_names()[:2] if QUICK else workload_names())
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
-def bench_run_id() -> str:
-    """One ledger run id per pytest session (harness override wins)."""
-    return os.environ.get(RUN_ID_ENV) or f"pytest-{int(time.time())}"
-
-
-@pytest.fixture
-def bench_case(request, results_dir, bench_run_id) -> BenchCase:
-    """The emit handle for one bench test.
-
-    Created before the test body runs, so the embedded manifest's wall
-    time brackets the measured work; the bench name is derived from the
-    module and test names (``bench_uber.py::test_uber_requirements`` →
-    ``uber_requirements``).
-    """
-    return BenchCase(
-        bench_name_for(request.module.__name__, request.node.name),
-        root=_ROOT,
-        ledger_path=results_dir / "ledger.jsonl",
-        run_id=bench_run_id,
-    )
 
 
 def write_table(results_dir: Path, name: str, lines: list[str]) -> None:

@@ -4,11 +4,6 @@ Commands
 --------
 report
     Generate the full reproduction report (markdown).
-bench
-    Benchmark ledger: ``list`` the discovered bench scripts, ``run``
-    them through one harness (quick/full mode, seed control, BENCH
-    JSON + ledger emission), ``compare`` two runs with the regression
-    gate, ``report`` a markdown trend table.
 simulate
     Run the four storage systems on one paper workload and print the
     comparison table (``--json`` for machine-readable rows plus a run
@@ -1313,10 +1308,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also write a run manifest (provenance JSON) to this path",
     )
     report.set_defaults(handler=_cmd_report)
-
-    from repro.obs.bench_cli import add_bench_parser
-
-    add_bench_parser(commands)
 
     simulate = commands.add_parser("simulate", help="compare the four systems")
     _add_run_arguments(simulate)

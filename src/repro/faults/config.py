@@ -134,7 +134,7 @@ class FaultConfig:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serialisable view (for manifests and ledger hashing)."""
+        """JSON-serialisable view (for manifests and config hashing)."""
         return {
             "enabled": self.enabled,
             "seed": self.seed,

@@ -25,25 +25,10 @@ Three pillars, one dependency-free subsystem:
 * :mod:`repro.obs.profile` — wall-clock profiling (the one pillar that
   measures real seconds, not virtual microseconds): the
   :class:`EventLoopProfiler` instrumenting mode, the
-  :class:`StackSampler` collapsed-stack sampler, tracemalloc
-  allocation profiles and the process-global wall-throughput ledger
-  behind every bench's ``wall`` section (``repro profile``).
+  :class:`StackSampler` collapsed-stack sampler and tracemalloc
+  allocation profiles (``repro profile``).
 """
 
-from repro.obs.bench import (
-    BenchCase,
-    BenchLedger,
-    BenchModeMismatch,
-    BenchResult,
-    BenchSchemaError,
-    MetricSpec,
-    bench_mode,
-    bench_seed,
-    compare_metrics,
-    compare_results,
-    quick_mode,
-    validate_bench_dict,
-)
 from repro.obs.attribution import (
     CAUSES,
     AttributionReport,
@@ -70,8 +55,6 @@ from repro.obs.profile import (
     peak_py_alloc_kb,
     profile_fingerprint,
     profile_workload,
-    record_loop,
-    wall_snapshot,
 )
 from repro.obs.metrics import (
     Counter,
@@ -104,11 +87,6 @@ __all__ = [
     "attribute_request",
     "diff_reports",
     "spans_from_chrome_trace",
-    "BenchCase",
-    "BenchLedger",
-    "BenchModeMismatch",
-    "BenchResult",
-    "BenchSchemaError",
     "CHANNEL_SCHEMA",
     "ChangePointRule",
     "ChannelTelemetry",
@@ -119,7 +97,6 @@ __all__ = [
     "HealthMonitor",
     "Histogram",
     "ManifestBuilder",
-    "MetricSpec",
     "MetricsRegistry",
     "MonitorConfig",
     "PageHinkleyDetector",
@@ -130,11 +107,7 @@ __all__ = [
     "StackSampler",
     "Tracer",
     "allocation_profile",
-    "bench_mode",
-    "bench_seed",
     "channel_fingerprint",
-    "compare_metrics",
-    "compare_results",
     "config_hash",
     "default_rules",
     "diff_channel_artifacts",
@@ -147,9 +120,5 @@ __all__ = [
     "peak_py_alloc_kb",
     "profile_fingerprint",
     "profile_workload",
-    "quick_mode",
-    "record_loop",
     "render_block_heatmap",
-    "validate_bench_dict",
-    "wall_snapshot",
 ]

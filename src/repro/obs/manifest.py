@@ -1,10 +1,10 @@
 """Run manifests: what produced a result file, pinned for comparison.
 
-Every simulation or benchmark run can emit a :class:`RunManifest`
-alongside its numbers, so ``BENCH_*.json`` trajectories stay
-comparable across PRs: two manifests with the same ``config_hash`` and
-``seed`` measured the same experiment, and the recorded git SHA, wall
-time and peak RSS say what changed between them.
+Every simulation run can emit a :class:`RunManifest` alongside its
+numbers, so result files stay comparable across commits: two manifests
+with the same ``config_hash`` and ``seed`` measured the same
+experiment, and the recorded git SHA, wall time and peak RSS say what
+changed between them.
 
 The manifest is deliberately plain data (one JSON object); collection
 is a begin/finish pair so wall time brackets exactly the run:
@@ -122,8 +122,8 @@ class RunManifest:
         Peak *traced Python* allocation in KiB, from
         :func:`repro.obs.profile.peak_py_alloc_kb`.  None unless
         :mod:`tracemalloc` was tracing when the run finished (e.g.
-        ``repro bench run --alloc`` or ``repro profile --mode alloc``)
-        — tracing costs 2-4x slowdown, so it is never on by default.
+        ``repro profile --mode alloc``) — tracing costs 2-4x slowdown,
+        so it is never on by default.
     metrics:
         Flat metric snapshot (typically ``MetricsRegistry.snapshot()``).
     fault_config:

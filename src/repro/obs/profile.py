@@ -32,12 +32,6 @@ artifact's ``wall`` subtree and in run manifests, and are excluded
 from every config hash and from :func:`profile_fingerprint` (the
 deterministic identity of a profile artifact), so two same-seed runs
 compare equal no matter how fast the machine was.
-
-Independently of any profiler, the engine feeds a process-global wall
-ledger (:func:`record_loop` / :func:`wall_snapshot`) — two
-``perf_counter`` calls per run — which is how every ``bench_case``
-records ``wall_events_per_s`` / ``wall_requests_per_s`` without the
-bench scripts changing at all.
 """
 
 from __future__ import annotations
@@ -83,35 +77,12 @@ SECTIONS: tuple[tuple[str, str, str, str], ...] = (
 )
 
 
-# ---------------------------------------------------------------------------
-# Process-global wall ledger
-# ---------------------------------------------------------------------------
-
-#: Cumulative (events, requests, loop seconds) across every engine run
-#: in this process.  Engines call :func:`record_loop` once per run; the
-#: bench harness diffs :func:`wall_snapshot` around each bench case.
-_WALL = {"events": 0, "requests": 0, "loop_s": 0.0, "runs": 0}
-
-
-def record_loop(events: int, requests: int, loop_s: float) -> None:
-    """Credit one finished engine loop to the process wall ledger."""
-    _WALL["events"] += int(events)
-    _WALL["requests"] += int(requests)
-    _WALL["loop_s"] += float(loop_s)
-    _WALL["runs"] += 1
-
-
-def wall_snapshot() -> dict[str, float]:
-    """A copy of the process wall ledger (events/requests/loop_s/runs)."""
-    return dict(_WALL)
-
-
 def peak_py_alloc_kb() -> int | None:
     """Peak tracemalloc-traced bytes of this process in KiB.
 
     None when :mod:`tracemalloc` is not tracing — tracing costs real
-    wall time, so it is opt-in (``repro profile --mode alloc``,
-    ``repro bench run --alloc``), never ambient.
+    wall time, so it is opt-in (``repro profile --mode alloc``), never
+    ambient.
     """
     if not tracemalloc.is_tracing():
         return None
@@ -635,6 +606,4 @@ __all__ = [
     "peak_py_alloc_kb",
     "profile_fingerprint",
     "profile_workload",
-    "record_loop",
-    "wall_snapshot",
 ]

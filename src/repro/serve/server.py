@@ -426,11 +426,6 @@ class ServeEngine:
     registry / recorder:
         Optional observability sinks, passed through to the DES engine;
         the serve layer adds per-tenant counters to the registry.
-    channel_telemetry:
-        Optional :class:`repro.obs.channel.ChannelTelemetry`, passed
-        through to the DES engine.  Requests carry their tenant name,
-        so the artifact's per-tenant flash-channel mix shows which
-        tenants land on which channels.
     """
 
     def __init__(
@@ -445,7 +440,6 @@ class ServeEngine:
         registry: MetricsRegistry | None = None,
         recorder: WindowedRecorder | None = None,
         monitor_config: MonitorConfig | None = None,
-        channel_telemetry=None,
     ):
         if monitor_config is not None and recorder is None:
             raise ConfigurationError(
@@ -463,7 +457,6 @@ class ServeEngine:
         self.registry = registry
         self.recorder = recorder
         self.monitor_config = monitor_config
-        self.channel_telemetry = channel_telemetry
         logical_pages = system.config.footprint_pages or _DEFAULT_LOGICAL_PAGES
         self.streams = spawn_streams(specs, seed, logical_pages)
 
@@ -495,7 +488,6 @@ class ServeEngine:
                 registry=self.registry,
                 tracer=tracer,
                 recorder=self.recorder,
-                channel_telemetry=self.channel_telemetry,
             ),
         )
         sim = engine.run_source(

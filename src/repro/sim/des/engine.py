@@ -51,7 +51,6 @@ from typing import Iterable
 
 from repro.baselines.systems import ReadServiceBreakdown, StorageSystem
 from repro.errors import ConfigurationError, SimulationError
-from repro.obs.profile import record_loop
 from repro.sim.des.events import Event, EventHeap, EventKind
 from repro.sim.des.ingress import PendingRequest, RequestSource, TraceSource
 from repro.sim.des.observers import RunObserver
@@ -80,17 +79,11 @@ class DesSimulationEngine:
     n_channels:
         Independent flash channels, each with its own request queue and
         background-GC backlog.
-    gc_granule_us:
-        Largest non-preemptible slice of background work per channel;
-        defaults to one page program.
     retry_model:
         Read-retry sampler; pass ``None`` to disable retries (every
         read decodes in its first sensing round).  Defaults to
         :class:`~repro.sim.des.retry.ReadRetryModel` with its standard
         configuration.
-    sample_cap:
-        Overrides the result's exact-sample cap (None keeps
-        :data:`repro.sim.results.DEFAULT_SAMPLE_CAP`).
     observers:
         :class:`~repro.sim.des.observers.RunObserver` subscribers that
         receive the run's events, in this order (build them with
@@ -104,9 +97,7 @@ class DesSimulationEngine:
         system: StorageSystem,
         warmup_fraction: float = 0.1,
         n_channels: int = 1,
-        gc_granule_us: float | None = None,
         retry_model: ReadRetryModel | None | object = _DEFAULT_RETRY,
-        sample_cap: int | None = None,
         observers: Iterable[RunObserver] = (),
     ):
         if not 0.0 <= warmup_fraction < 1.0:
@@ -116,17 +107,9 @@ class DesSimulationEngine:
         self.system = system
         self.warmup_fraction = warmup_fraction
         self.n_channels = n_channels
-        if gc_granule_us is None:
-            gc_granule_us = system.config.ssd.timing.program_us
-        if gc_granule_us < 0:
-            raise ConfigurationError("negative GC granule")
-        self.gc_granule_us = gc_granule_us
         if retry_model is _DEFAULT_RETRY:
             retry_model = ReadRetryModel()
         self.retry_model = retry_model
-        if sample_cap is not None and sample_cap < 0:
-            raise ConfigurationError("negative sample cap")
-        self.sample_cap = sample_cap
         self.observers = tuple(observers)
         # With a fault injector on the SSD, ladder exhaustion gains its
         # terminal branch: the final round's residual failure probability
@@ -208,14 +191,13 @@ class DesSimulationEngine:
         result = DesSimulationResult(
             system_name=self.system.name, workload_name=workload_name
         )
-        if self.sample_cap is not None:
-            result.sample_cap = self.sample_cap
         # Per-run loop state, read by the event handlers.
         self._source = source
         self._result = result
         self._warmup_count = warmup_count
+        # Background GC yields the channel at page-program granularity.
         self._scheduler = scheduler = ChannelScheduler(
-            self.n_channels, self.gc_granule_us
+            self.n_channels, self.system.config.ssd.timing.program_us
         )
         self._heap = heap = EventHeap()
         self._pending: dict[int, PendingRequest] = {first.index: first}
@@ -279,7 +261,6 @@ class DesSimulationEngine:
         result.wall_loop_s = loop_s
         result.wall_events = heap.popped
         result.wall_requests = requests_completed
-        record_loop(heap.popped, requests_completed, loop_s)
         result.stats = self.system.ssd.stats.snapshot()
         result.stats["reduced_logical_pages"] = self.system.ssd.reduced_logical_pages()
         result.stats["max_pe_cycles"] = self.system.ssd.max_pe_cycles()

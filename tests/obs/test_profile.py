@@ -34,8 +34,6 @@ from repro.obs.profile import (
     peak_py_alloc_kb,
     profile_fingerprint,
     profile_workload,
-    record_loop,
-    wall_snapshot,
 )
 from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel, observe
 from repro.traces.workloads import make_workload
@@ -327,18 +325,8 @@ def test_manifest_records_peak_py_alloc_when_tracing(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Process wall ledger and sim.wall.* gauges
+# sim.wall.* gauges
 # ---------------------------------------------------------------------------
-
-
-def test_record_loop_accumulates():
-    before = wall_snapshot()
-    record_loop(100, 40, 0.5)
-    after = wall_snapshot()
-    assert after["events"] - before["events"] == 100
-    assert after["requests"] - before["requests"] == 40
-    assert after["loop_s"] - before["loop_s"] == pytest.approx(0.5)
-    assert after["runs"] - before["runs"] == 1
 
 
 def test_engines_publish_wall_gauges():

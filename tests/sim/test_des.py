@@ -712,8 +712,6 @@ class TestValidationAndWarmup:
             DesSimulationEngine(system, warmup_fraction=1.0)
         with pytest.raises(ConfigurationError):
             DesSimulationEngine(system, n_channels=0)
-        with pytest.raises(ConfigurationError):
-            DesSimulationEngine(system, gc_granule_us=-1.0)
 
     def test_empty_trace_rejected(self, shared_policy):
         system = tiny_system(shared_policy=shared_policy)
