@@ -1,13 +1,22 @@
-"""Critical-path latency attribution over retained span trees.
+"""Critical-path latency attribution of requests.
 
 FlexLevel's whole argument is about *where* read latency goes — extra
 sensing rounds and LDPC decode iterations versus media sense, transfer
-and queueing (paper §2, Fig. 6).  This module turns the span trees the
-:class:`~repro.obs.tracing.Tracer` retains into that drill-down: every
-request's end-to-end latency is decomposed *exactly* onto a fixed cause
-taxonomy, and per-request records aggregate into blame tables bucketed
-by percentile band, so "what fraction of p99 is retry sensing vs. GC
-stall?" is one report instead of a manual trace-reading exercise.
+and queueing (paper §2, Fig. 6).  This module turns requests into that
+drill-down: every request's end-to-end latency is decomposed *exactly*
+onto a fixed cause taxonomy, and per-request records aggregate into
+blame tables bucketed by percentile band, so "what fraction of p99 is
+retry sensing vs. GC stall?" is one report instead of a manual
+trace-reading exercise.
+
+One rule, :func:`attribute`, does the decomposition from flat records:
+the request's span of time, its page operations (with each flash
+read's sensing rounds and post-read work) and its GC stalls.
+:func:`attribute_request` flattens a retained
+:class:`~repro.obs.tracing.Span` tree into those records; ``repro
+serve`` collects them from the run's events as each request is
+dispatched (:class:`~repro.sim.des.observers.AttributionObserver`) and
+keeps only a childless root that carries the result.
 
 Cause taxonomy
 --------------
@@ -26,7 +35,8 @@ Cause taxonomy
     Retry rounds of reads that terminated uncorrectable — ladder time
     burned without ever decoding (faults enabled only).
 ``post_read``
-    Post-read policy work on the critical path (AccessEval etc.).
+    Post-read work charged on the critical path (every shipped system
+    charges none: AccessEval migrations run as background work).
 ``buffer_hit``
     Reads answered by the write buffer (no flash sensing).
 ``buffered_write``
@@ -51,7 +61,7 @@ inflates blame fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,69 +138,51 @@ class RequestAttribution:
         }
 
 
-def _op_groups(ops: Sequence[Span]) -> dict[Any, list[Span]]:
-    """Page-operation spans grouped by the channel that served them."""
-    groups: dict[Any, list[Span]] = {}
-    for op in ops:
-        groups.setdefault(op.attrs.get("channel"), []).append(op)
-    return groups
+class OpRecord(NamedTuple):
+    """One page operation of a request, as the attribution rule reads it.
 
-
-def _attribute_flash_read(op: Span, causes: dict[str, float]) -> tuple[int, bool]:
-    """Decompose one flash read; returns (retry rounds, uncorrectable)."""
-    uncorrectable = bool(op.attrs.get("uncorrectable", False))
-    retry_cause = "uncorrectable" if uncorrectable else "retry"
-    claimed = 0.0
-    rounds = 0
-    for child in op.children:
-        claimed += child.duration_us
-        if child.name == "sensing_round":
-            if child.attrs.get("round", 0) == 0:
-                inner = 0.0
-                for part in child.children:
-                    cause = (
-                        part.name
-                        if part.name in ("sense", "transfer", "ldpc_decode")
-                        else "other"
-                    )
-                    causes[cause] += part.duration_us
-                    inner += part.duration_us
-                causes["other"] += child.duration_us - inner
-            else:
-                rounds += 1
-                causes[retry_cause] += child.duration_us
-        elif child.name == "post_read":
-            causes["post_read"] += child.duration_us
-        else:
-            causes["other"] += child.duration_us
-    causes["other"] += op.duration_us - claimed
-    return rounds, uncorrectable
-
-
-def attribute_request(root: Span) -> RequestAttribution:
-    """Decompose one retained request tree onto the cause taxonomy.
-
-    Works on live :class:`~repro.obs.tracing.Span` trees and on trees
-    reconstructed from a Chrome trace export
-    (:func:`~repro.obs.tracing.spans_from_chrome_trace`) alike — the
-    attribution depends only on span names, times and attrs.
+    ``kind`` is ``flash_read``, ``buffer_hit_read`` or
+    ``buffered_write``.  A flash read lists its sensing rounds in order,
+    each as ``(round_us, sense_us, transfer_us, decode_us)`` (the first
+    is the retry-free round), and its post-read duration.
     """
-    if root.end_us is None:
-        raise ConfigurationError(f"request span {root.name!r} never ended")
-    causes = {cause: 0.0 for cause in CAUSES}
+
+    kind: str
+    channel: Any
+    start_us: float
+    end_us: float
+    uncorrectable: bool = False
+    rounds: tuple[tuple[float, float, float, float], ...] = ()
+    post_read_us: float = 0.0
+
+
+def attribute(
+    name: str,
+    seq: int,
+    start_us: float,
+    end_us: float,
+    ops: Sequence[OpRecord],
+    stalls: Iterable[tuple[Any, float]],
+) -> RequestAttribution:
+    """Decompose one request onto the cause taxonomy.
+
+    The one attribution rule: ``ops`` are the request's page operations
+    in dispatch order and ``stalls`` its ``(channel, duration_us)`` GC
+    stalls.  :func:`attribute_request` reads them off a span tree, and
+    ``repro serve`` collects them from the run's events.
+    """
+    duration_us = end_us - start_us
+    causes = dict.fromkeys(CAUSES, 0.0)
     record = RequestAttribution(
-        name=root.name,
-        seq=int(root.attrs.get("seq", root.attrs.get("index", 0))),
-        start_us=root.start_us,
-        duration_us=root.duration_us,
+        name=name, seq=seq, start_us=start_us, duration_us=duration_us,
         causes=causes,
     )
-    ops = [child for child in root.children if child.name in _OP_NAMES]
-    stalls = [child for child in root.children if child.name == "gc_stall"]
     if not ops:
-        causes["queue_wait"] = root.duration_us
+        causes["queue_wait"] = duration_us
         return record
-    groups = _op_groups(ops)
+    groups: dict[Any, list[OpRecord]] = {}
+    for op in ops:
+        groups.setdefault(op.channel, []).append(op)
     record.n_channels = len(groups)
     ends = {
         key: max(op.end_us for op in group) for key, group in groups.items()
@@ -201,13 +193,9 @@ def attribute_request(root: Span) -> RequestAttribution:
         ends, key=lambda k: (ends[k], -(k if isinstance(k, int) else -1))
     )
     crit_ops = sorted(groups[critical], key=lambda op: (op.start_us, op.end_us))
-    crit_start = min(op.start_us for op in crit_ops)
-    stall_us = sum(
-        stall.duration_us
-        for stall in stalls
-        if stall.attrs.get("channel") == critical
-    )
-    wait_us = crit_start - root.start_us - stall_us
+    crit_start = crit_ops[0].start_us
+    stall_us = sum(d for channel, d in stalls if channel == critical)
+    wait_us = crit_start - start_us - stall_us
     if wait_us < 0.0:
         # Degenerate trees (stall span wider than the pre-service gap):
         # keep the sum exact by ceding the excess back to the stall.
@@ -219,25 +207,99 @@ def attribute_request(root: Span) -> RequestAttribution:
     for op in crit_ops:
         if op.start_us > cursor:
             causes["other"] += op.start_us - cursor
-        if op.name == "flash_read":
-            rounds, uncorrectable = _attribute_flash_read(op, causes)
-            record.retry_rounds += rounds
-            record.uncorrectable = record.uncorrectable or uncorrectable
-        elif op.name == "buffer_hit_read":
-            causes["buffer_hit"] += op.duration_us
+        if op.kind == "flash_read":
+            retry_cause = "uncorrectable" if op.uncorrectable else "retry"
+            claimed = 0.0
+            for index, (round_us, sense, transfer, decode) in enumerate(
+                op.rounds
+            ):
+                claimed += round_us
+                if index == 0:
+                    causes["sense"] += sense
+                    causes["transfer"] += transfer
+                    causes["ldpc_decode"] += decode
+                    causes["other"] += round_us - (sense + transfer + decode)
+                else:
+                    record.retry_rounds += 1
+                    causes[retry_cause] += round_us
+            claimed += op.post_read_us
+            causes["post_read"] += op.post_read_us
+            causes["other"] += (op.end_us - op.start_us) - claimed
+            record.uncorrectable = record.uncorrectable or op.uncorrectable
+        elif op.kind == "buffer_hit_read":
+            causes["buffer_hit"] += op.end_us - op.start_us
             record.buffer_hit = True
         else:
-            causes["buffered_write"] += op.duration_us
+            causes["buffered_write"] += op.end_us - op.start_us
         cursor = max(cursor, op.end_us)
-    if root.end_us > cursor:
-        causes["other"] += root.end_us - cursor
+    if end_us > cursor:
+        causes["other"] += end_us - cursor
     record.off_path_us = sum(
-        op.duration_us
+        op.end_us - op.start_us
         for key, group in groups.items()
         if key != critical
         for op in group
     )
     return record
+
+
+def _op_record(op: Span) -> OpRecord:
+    """A page-operation span as the rule's record; children the rule
+    has no name for fall into the read's ``other`` residual."""
+    channel = op.attrs.get("channel")
+    if op.name != "flash_read":
+        return OpRecord(op.name, channel, op.start_us, op.end_us)
+    rounds = []
+    post_read_us = 0.0
+    for child in op.children:
+        if child.name == "sensing_round":
+            parts = {part.name: part.duration_us for part in child.children}
+            rounds.append(
+                (
+                    child.duration_us,
+                    parts.get("sense", 0.0),
+                    parts.get("transfer", 0.0),
+                    parts.get("ldpc_decode", 0.0),
+                )
+            )
+        elif child.name == "post_read":
+            post_read_us += child.duration_us
+    return OpRecord(
+        "flash_read", channel, op.start_us, op.end_us,
+        bool(op.attrs.get("uncorrectable", False)), tuple(rounds),
+        post_read_us,
+    )
+
+
+def attribute_request(root: Span) -> RequestAttribution:
+    """Decompose one request root span onto the cause taxonomy.
+
+    A root that already carries its attribution (``repro serve``
+    attributes each request while the run is live) returns it.  A span
+    tree — live, or reconstructed from a Chrome trace export
+    (:func:`~repro.obs.tracing.spans_from_chrome_trace`) — is flattened
+    into the records :func:`attribute` reads; the attribution depends
+    only on span names, times and attrs.
+    """
+    if root.end_us is None:
+        raise ConfigurationError(f"request span {root.name!r} never ended")
+    if root.attribution is not None:
+        return root.attribution
+    ops = []
+    stalls = []
+    for child in root.children:
+        if child.name in _OP_NAMES:
+            ops.append(_op_record(child))
+        elif child.name == "gc_stall":
+            stalls.append((child.attrs.get("channel"), child.duration_us))
+    return attribute(
+        root.name,
+        int(root.attrs.get("seq", root.attrs.get("index", 0))),
+        root.start_us,
+        root.end_us,
+        ops,
+        stalls,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +366,7 @@ class AttributionReport:
         report.bands = {name: BandBlame(name) for name in BAND_NAMES}
         durations = [record.duration_us for record in report.requests]
         if durations:
-            edges = [
-                float(np.percentile(durations, q)) for q in BAND_EDGES
-            ]
+            edges = np.percentile(np.asarray(durations), BAND_EDGES).tolist()
         else:
             edges = [0.0 for _ in BAND_EDGES]
         report.thresholds_us = {

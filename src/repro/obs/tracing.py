@@ -4,7 +4,10 @@ A :class:`Tracer` records one :class:`Span` tree per traced request:
 the root covers the request's whole residency (arrival → completion)
 and children decompose it — queue wait, GC stalls, per-channel flash
 operations, individual sensing rounds and the LDPC decode inside each
-round.  Times are explicit microsecond values because the simulators
+round.  A root may instead carry its request's
+:class:`~repro.obs.attribution.RequestAttribution`, computed while the
+run was live, and no children: that is how ``repro serve`` keeps every
+request.  Times are explicit microsecond values because the simulators
 run on *virtual* time; nothing here reads a wall clock.
 
 Memory stays bounded on million-request traces by a two-part sampling
@@ -33,7 +36,7 @@ from repro.errors import ConfigurationError
 class Span:
     """One named, timed node of a request's trace tree."""
 
-    __slots__ = ("name", "start_us", "end_us", "attrs", "children", "events")
+    __slots__ = ("name", "start_us", "end_us", "attrs", "children", "attribution")
 
     def __init__(self, name: str, start_us: float, **attrs: Any):
         if start_us < 0:
@@ -43,17 +46,15 @@ class Span:
         self.end_us: float | None = None
         self.attrs = attrs
         self.children: list[Span] = []
-        self.events: list[tuple[str, float, dict[str, Any]]] = []
+        # Set on a childless request root attributed while the run was
+        # live; attribute_request returns it instead of walking a tree.
+        self.attribution = None
 
     def span(self, name: str, start_us: float, **attrs: Any) -> "Span":
         """Open a nested child span."""
         child = Span(name, start_us, **attrs)
         self.children.append(child)
         return child
-
-    def event(self, name: str, time_us: float, **attrs: Any) -> None:
-        """Record an instantaneous event inside this span."""
-        self.events.append((name, float(time_us), attrs))
 
     def end(self, end_us: float) -> "Span":
         """Close the span at ``end_us`` (must not precede the start)."""
@@ -89,11 +90,6 @@ class Span:
         }
         if self.attrs:
             out["attrs"] = dict(self.attrs)
-        if self.events:
-            out["events"] = [
-                {"name": name, "time_us": time_us, **attrs}
-                for name, time_us, attrs in self.events
-            ]
         if self.children:
             out["children"] = [child.to_dict() for child in self.children]
         return out
@@ -198,7 +194,7 @@ class Tracer:
 
         Each retained request becomes one "thread" (``tid`` = request
         sequence number) so span nesting renders as a flame graph per
-        request; instantaneous events become ``"ph": "i"`` markers.
+        request.
         """
         trace_events: list[dict[str, Any]] = [
             {
@@ -235,19 +231,6 @@ class Tracer:
                         },
                     }
                 )
-                for name, time_us, attrs in span.events:
-                    trace_events.append(
-                        {
-                            "name": name,
-                            "cat": "sim",
-                            "ph": "i",
-                            "ts": time_us,
-                            "s": "t",
-                            "pid": 1,
-                            "tid": tid,
-                            "args": attrs,
-                        }
-                    )
         return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
     def write_chrome_trace(self, path, process_name: str = "repro-sim") -> None:

@@ -54,7 +54,7 @@ from repro.serve.queues import QueuePair, SubmittedRequest
 from repro.serve.tenants import TenantSpec, TenantStream, spawn_streams
 from repro.sim.des.engine import DesSimulationEngine
 from repro.sim.des.ingress import PendingRequest, RequestSource
-from repro.sim.des.observers import observe
+from repro.sim.des.observers import AttributionObserver, observe
 from repro.sim.results import DesSimulationResult, response_histogram
 
 #: Fallback logical footprint when the system under test has none.
@@ -469,7 +469,9 @@ class ServeEngine:
             recorder=self.recorder,
         )
         # Retain every request so per-tenant blame tables are complete
-        # (fractions then sum to exactly 1.0 per band, per tenant).
+        # (fractions then sum to exactly 1.0 per band, per tenant).  Each
+        # is attributed when it is dispatched and kept as a childless
+        # root span that carries its attribution, not as a span tree.
         tracer = Tracer(sample_every=1, keep_slowest=0)
         monitor = None
         if self.monitor_config is not None:
@@ -484,10 +486,9 @@ class ServeEngine:
             self.system,
             warmup_fraction=0.0,
             n_channels=self.n_channels,
-            observers=observe(
-                registry=self.registry,
-                tracer=tracer,
-                recorder=self.recorder,
+            observers=(
+                *observe(registry=self.registry, recorder=self.recorder),
+                AttributionObserver(tracer),
             ),
         )
         sim = engine.run_source(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 
+from repro.obs.attribution import OpRecord, attribute
 from repro.obs.tracing import Span
 
 
@@ -22,6 +23,44 @@ def iteration_trail(latency, provisioned_levels: int, rounds: int) -> tuple:
     decode_iterations = latency.decode_iterations
     return tuple(
         decode_iterations(provisioned_levels + r) for r in range(rounds + 1)
+    )
+
+
+def sensing_timeline(latency, provisioned_levels: int, rounds: int, start_us: float):
+    """Each sensing round of a flash read starting at ``start_us``.
+
+    Yields ``(level, start, sense_end, transfer_end, decode_end, end)``
+    per round, first round first.  Span trees and attribution records
+    are both built from these boundaries, so they agree bit for bit.
+    """
+    t = start_us
+    for round_index in range(rounds + 1):
+        level = provisioned_levels + round_index
+        if round_index == 0:
+            sense, transfer, decode = latency.round_components_us(level)
+        else:
+            sense, transfer, decode = latency.retry_round_components_us(level)
+        start = t
+        t += sense + transfer + decode
+        yield (
+            level,
+            start,
+            start + sense,
+            start + sense + transfer,
+            start + sense + transfer + decode,
+            t,
+        )
+
+
+def _request_root(tracer, pending) -> Span:
+    """The root span of one request, opened on ``tracer``."""
+    record = pending.record
+    return tracer.begin_request(
+        "write_request" if record.is_write else "read_request",
+        pending.t0_us,
+        index=pending.index,
+        n_pages=record.n_pages,
+        **pending.attrs,
     )
 
 
@@ -298,14 +337,7 @@ class TracerObserver(RunObserver):
         self._trace = None
         if pending.index < self.warmup_count:
             return
-        record = pending.record
-        self._trace = self.tracer.begin_request(
-            "write_request" if record.is_write else "read_request",
-            pending.t0_us,
-            index=pending.index,
-            n_pages=record.n_pages,
-            **pending.attrs,
-        )
+        self._trace = _request_root(self.tracer, pending)
 
     def gc_drained(self, channel, start_us, drained_us, stall_us):
         if self._trace is not None and stall_us > 0.0:
@@ -335,24 +367,19 @@ class TracerObserver(RunObserver):
         if uncorrectable:
             op.attrs["uncorrectable"] = True
         latency = self.system.latency
-        t = op_start
-        for round_index, iterations in enumerate(
-            iteration_trail(latency, levels, rounds)
+        timeline = sensing_timeline(latency, levels, rounds, op_start)
+        for round_index, (iterations, bounds) in enumerate(
+            zip(iteration_trail(latency, levels, rounds), timeline)
         ):
-            level = levels + round_index
-            if round_index == 0:
-                sense, transfer, decode = latency.round_components_us(level)
-            else:
-                sense, transfer, decode = latency.retry_round_components_us(level)
+            level, start, sense_end, transfer_end, decode_end, t = bounds
             round_span = op.span(
-                "sensing_round", t, round=round_index, extra_levels=level
+                "sensing_round", start, round=round_index, extra_levels=level
             )
-            round_span.span("sense", t).end(t + sense)
-            round_span.span("transfer", t + sense).end(t + sense + transfer)
+            round_span.span("sense", start).end(sense_end)
+            round_span.span("transfer", sense_end).end(transfer_end)
             round_span.span(
-                "ldpc_decode", t + sense + transfer, iterations=iterations
-            ).end(t + sense + transfer + decode)
-            t += sense + transfer + decode
+                "ldpc_decode", transfer_end, iterations=iterations
+            ).end(decode_end)
             round_span.end(t)
         if breakdown.post_read_us > 0.0:
             op.span("post_read", t).end(t + breakdown.post_read_us)
@@ -367,6 +394,80 @@ class TracerObserver(RunObserver):
         wait_span.end(t0 + queue_wait_us)
         trace.children.insert(0, wait_span)
         self.tracer.finish_request(trace, completion_us)
+
+
+class AttributionObserver(RunObserver):
+    """Post-warmup requests attributed as they are dispatched.
+
+    Collects each request's page operations and GC stalls as the
+    records :func:`~repro.obs.attribution.attribute` reads, then offers
+    the ``Tracer`` a childless root span that carries the request's
+    attribution.  The root has the attrs and times
+    :class:`TracerObserver` gives it, and the attribution equals
+    attributing that observer's tree.
+    """
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+        self._ops: list[OpRecord] | None = None
+        self._stalls: list[tuple[int, float]] = []
+
+    def arrival(self, pending, time_us):
+        if pending.index < self.warmup_count:
+            self._ops = None
+            return
+        self._ops = []
+        self._stalls = []
+
+    def gc_drained(self, channel, start_us, drained_us, stall_us):
+        if self._ops is not None and stall_us > 0.0:
+            # The duration of the stall span [start - stall, start].
+            self._stalls.append((channel, start_us - (start_us - stall_us)))
+
+    def op_serviced(
+        self, pending, channel, lpn, op_start, service, op_done,
+        breakdown, rounds, uncorrectable,
+    ):
+        ops = self._ops
+        if ops is None:
+            return
+        op_end = op_start + service
+        if breakdown is None or breakdown.buffer_hit:
+            kind = "buffered_write" if breakdown is None else "buffer_hit_read"
+            ops.append(OpRecord(kind, channel, op_start, op_end))
+            return
+        # Each duration is end minus start, as a span's duration_us is.
+        records = []
+        for _, start, sense_end, transfer_end, decode_end, t in sensing_timeline(
+            self.system.latency, breakdown.provisioned_levels, rounds, op_start
+        ):
+            records.append(
+                (
+                    t - start,
+                    sense_end - start,
+                    transfer_end - sense_end,
+                    decode_end - transfer_end,
+                )
+            )
+        post_read = breakdown.post_read_us
+        ops.append(
+            OpRecord(
+                "flash_read", channel, op_start, op_end, uncorrectable,
+                tuple(records),
+                (t + post_read) - t if post_read > 0.0 else 0.0,
+            )
+        )
+
+    def dispatched(self, pending, completion_us, queue_wait_us):
+        ops, self._ops = self._ops, None
+        if ops is None:
+            return
+        root = _request_root(self.tracer, pending)
+        self.tracer.finish_request(root, completion_us)
+        root.attribution = attribute(
+            root.name, root.attrs["seq"], root.start_us, root.end_us, ops,
+            self._stalls,
+        )
 
 
 def observe(

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.baselines.systems import SystemConfig, build_system
@@ -14,6 +15,7 @@ from repro.obs import (
     attribute_request,
     diff_reports,
 )
+from repro.obs.attribution import BAND_EDGES
 from repro.obs.tracing import Span
 from repro.sim import DesSimulationEngine, ReadRetryConfig, ReadRetryModel, observe
 from repro.traces.schema import TraceRecord
@@ -306,6 +308,93 @@ class TestEngineIntegration:
         assert report.total_us == pytest.approx(recorded, rel=0.01)
 
 
+def event_and_tree_runs(shared_policy, faults, crash_us):
+    """One run observed twice: span trees (tracer ``a``) and the serve
+    attribution observer's childless, attributed roots (tracer ``b``).
+
+    A flexlevel drive with post-read work charged on every flash read
+    (no shipped system charges any), multi-page requests over four
+    channels and read retry; ``faults`` adds uncorrectable reads on a
+    worn drive, otherwise write-heavy traffic makes GC stall requests.
+    """
+    from repro.faults import FaultConfig, FaultInjector
+    from repro.sim.des.observers import AttributionObserver, TracerObserver
+
+    ssd = SsdConfig(
+        n_blocks=64,
+        pages_per_block=16,
+        gc_free_block_threshold=2,
+        initial_pe_cycles=16000 if faults else 6000,
+    )
+    config = SystemConfig(
+        ssd=ssd, footprint_pages=int(ssd.logical_pages * 0.4), buffer_pages=8
+    )
+    injector = (
+        FaultInjector(
+            FaultConfig(enabled=True, initial_bad_block_rate=0.0).scaled(100)
+        )
+        if faults
+        else None
+    )
+    system = build_system(
+        "flexlevel", config, level_adjust=shared_policy, fault_injector=injector
+    )
+    after_read = system._after_read
+    system._after_read = lambda *args: after_read(*args) + 3.25
+    writes_of_five = 3 if faults else 4
+    trace = [
+        TraceRecord(i * 120.0, (i * 29) % 300, 1 + i % 4, i % 5 < writes_of_five)
+        for i in range(400)
+    ]
+    trees = Tracer(sample_every=1, keep_slowest=0)
+    roots = Tracer(sample_every=1, keep_slowest=0)
+    engine = DesSimulationEngine(
+        system,
+        warmup_fraction=0.1,
+        n_channels=4,
+        retry_model=ReadRetryModel(ReadRetryConfig(seed=11)),
+        observers=(TracerObserver(trees), AttributionObserver(roots)),
+    )
+    result = engine.run(trace, "t", crash_us=crash_us)
+    return result, trees.spans, roots.spans
+
+
+class TestEventAttribution:
+    """Attributing from run events equals attributing the span tree."""
+
+    @pytest.mark.parametrize(
+        "faults, crash_us", [(True, 30_000.0), (False, None)]
+    )
+    def test_equals_tree_attribution_bit_for_bit(
+        self, shared_policy, faults, crash_us
+    ):
+        result, trees, roots = event_and_tree_runs(
+            shared_policy, faults, crash_us
+        )
+        assert result.crashed == (crash_us is not None)
+        assert len(roots) == len(trees) > 0
+        for tree, root in zip(trees, roots):
+            assert root.children == []
+            assert (root.name, root.start_us, root.end_us, root.attrs) == (
+                tree.name, tree.start_us, tree.end_us, tree.attrs
+            )
+            assert (
+                attribute_request(tree).to_dict()
+                == attribute_request(root).to_dict()
+            )
+        records = [attribute_request(root) for root in roots]
+        covered = {
+            "retry": any(r.retry_rounds for r in records),
+            "multi_channel": any(r.n_channels > 1 for r in records),
+            "post_read": any(r.causes["post_read"] > 0.0 for r in records),
+            "uncorrectable": any(r.uncorrectable for r in records),
+            "gc_stall": any(r.causes["gc_stall"] > 0.0 for r in records),
+        }
+        expected = {"retry", "multi_channel", "post_read"}
+        expected.add("uncorrectable" if faults else "gc_stall")
+        assert expected <= {name for name, seen in covered.items() if seen}
+
+
 class TestReportShape:
     def test_empty_report(self):
         report = AttributionReport.from_spans([])
@@ -341,3 +430,17 @@ class TestReportShape:
         assert delta["queue_wait"] == pytest.approx(0.5 - 0.25)
         # Dict form works too (the --vs JSON artifact path).
         assert diff_reports(cand.to_dict(), base.to_dict()) == diff
+
+    def test_band_edges_match_one_percentile_per_edge(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 17, 200, 1001):
+            spans = []
+            for i, duration in enumerate(rng.exponential(300.0, n)):
+                root = Span("read_request", 0.0, seq=i)
+                root.end(float(duration))
+                spans.append(root)
+            report = AttributionReport.from_spans(spans)
+            durations = [span.duration_us for span in spans]
+            assert list(report.thresholds_us.values()) == [
+                float(np.percentile(durations, q)) for q in BAND_EDGES
+            ]

@@ -52,13 +52,6 @@ class TestSpan:
         with pytest.raises(ConfigurationError):
             Span("bad", 10.0).end(5.0)
 
-    def test_events_in_dict(self):
-        span = Span("s", 0.0)
-        span.event("gc_preempted", 3.0, channel=2)
-        span.end(5.0)
-        out = span.to_dict()
-        assert out["events"] == [{"name": "gc_preempted", "time_us": 3.0, "channel": 2}]
-
     def test_to_dict_roundtrips_through_json(self):
         out = json.loads(json.dumps(make_request_span().to_dict()))
         assert out["name"] == "read_request"

@@ -124,6 +124,30 @@ class TestSloAttribution:
         assert "| t1 |" in markdown
 
 
+class TestRetainedRoots:
+    """Serve keeps one childless, attributed root per completed request."""
+
+    def test_roots_match_the_completion_queues(self, make_system, monkeypatch):
+        from repro.serve.queues import CompletionQueue
+
+        posted = {}
+        post = CompletionQueue.post
+
+        def recording_post(self, request, completion_us, response_us):
+            posted[(self.spec.name, request.seq)] = response_us
+            post(self, request, completion_us, response_us)
+
+        monkeypatch.setattr(CompletionQueue, "post", recording_post)
+        result = run_serve(make_system, "fin-2:2,web-1:1:5", scheduler="wfq")
+        spans = result.tracer.spans
+        assert len(spans) == result.fleet_summary()["completed"] == len(posted)
+        for root in spans:
+            assert root.children == []
+            assert root.attribution is not None
+            key = (root.attrs["tenant"], root.attrs["tseq"])
+            assert root.duration_us == posted[key]
+
+
 class TestMarkdownEdgeCases:
     def test_zero_completed_tenant_renders_rejected_only_row(self):
         artifact = {
