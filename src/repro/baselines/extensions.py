@@ -44,7 +44,7 @@ class LdpcInSsdProgressiveSystem(StorageSystem):
     def write_mode(self, lpn: int) -> CellMode:
         return CellMode.NORMAL
 
-    def _read_latency(self, required_levels: int, mode: CellMode) -> float:
+    def _read_latency(self, required_levels: int, provisioned_levels: int) -> float:
         return self.latency.progressive_latency_us(required_levels)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,8 +120,7 @@ class SystemConfig:
         return int(self.reduced_pool_fraction * self.ssd.logical_pages)
 
 
-@dataclass(frozen=True)
-class ReadServiceBreakdown:
+class ReadServiceBreakdown(NamedTuple):
     """Per-read sensing-round decomposition of a host read's service.
 
     A retry-free caller only needs the scalar sum
@@ -234,48 +234,34 @@ class StorageSystem(ABC):
         (buffer lookup, stats, post-read policy work) — call one or the
         other per read, not both.
         """
+        ssd = self.ssd
+        stats = ssd.stats
         if self.buffer.read_hit(lpn):
-            self.ssd.stats.buffer_hits += 1
+            stats.buffer_hits += 1
+            # Positional arguments, in field order: the per-read records
+            # are built on every host read.
             return ReadServiceBreakdown(
-                lpn=lpn,
-                buffer_hit=True,
-                mode=None,
-                required_levels=0,
-                provisioned_levels=0,
-                first_round_us=self.config.ssd.timing.buffer_hit_us,
-                retry_rounds_us=(),
-                post_read_us=0.0,
-                raw_ber=0.0,
+                lpn, True, None, 0, 0, self.config.ssd.timing.buffer_hit_us, (),
+                0.0, 0.0,
             )
-        info = self.ssd.read_info(lpn, now_us)
+        _, mode, age_hours, pe_cycles, block = ssd.read_info(lpn, now_us)
         policy = self.level_adjust
         hits0, misses0 = policy.cache_hits, policy.cache_misses
-        required, ber = policy.levels_and_ber(info.mode, info.pe_cycles, info.age_hours)
-        self.ssd.stats.ber_cache_hits += policy.cache_hits - hits0
-        self.ssd.stats.ber_cache_misses += policy.cache_misses - misses0
-        self.ssd.stats.record_extra_levels(required)
-        provisioned = self._provisioned_levels(required, info.mode)
-        first_round = self._read_latency(required, info.mode)
-        post_read = self._after_read(lpn, info.mode, required, now_us)
-        if self.ssd.fault_injector is not None:
+        required, ber = policy.levels_and_ber(mode, pe_cycles, age_hours)
+        stats.ber_cache_hits += policy.cache_hits - hits0
+        stats.ber_cache_misses += policy.cache_misses - misses0
+        stats.record_extra_levels(required)
+        provisioned = self._provisioned_levels(required, mode)
+        first_round = self._read_latency(required, provisioned)
+        post_read = self._after_read(lpn, mode, required, now_us)
+        if ssd.fault_injector is not None:
             # Read scrub: refresh pages whose BER crossed the trigger;
             # the rewrite is background work, not this read's latency.
-            self._pending_background_us += self.ssd.scrub_if_needed(
-                lpn, required, now_us
-            )
+            self._pending_background_us += ssd.scrub_if_needed(lpn, required, now_us)
         return ReadServiceBreakdown(
-            lpn=lpn,
-            buffer_hit=False,
-            mode=info.mode,
-            required_levels=required,
-            provisioned_levels=provisioned,
-            first_round_us=first_round,
-            retry_rounds_us=self._retry_tail(provisioned),
-            post_read_us=post_read,
-            raw_ber=ber,
-            block=info.block,
-            pe_cycles=info.pe_cycles,
-            age_hours=info.age_hours,
+            lpn, False, mode, required, provisioned, first_round,
+            self._retry_tail(provisioned), post_read, ber,
+            block, pe_cycles, age_hours,
         )
 
     def serve_write_page(self, lpn: int, now_us: float) -> float:
@@ -329,13 +315,13 @@ class StorageSystem(ABC):
         """Extra sensing levels the first read round is issued at."""
         return required_levels
 
-    def _read_latency(self, required_levels: int, mode: CellMode) -> float:
-        """Read latency given the page's required sensing levels."""
-        provisioned = self._provisioned_levels(required_levels, mode)
-        latency = self._read_latencies.get(provisioned)
+    def _read_latency(self, required_levels: int, provisioned_levels: int) -> float:
+        """Latency of the first read round, sensed at ``provisioned_levels``
+        for a page that requires ``required_levels``."""
+        latency = self._read_latencies.get(provisioned_levels)
         if latency is None:
-            latency = self.latency.read_latency_us(provisioned)
-            self._read_latencies[provisioned] = latency
+            latency = self.latency.read_latency_us(provisioned_levels)
+            self._read_latencies[provisioned_levels] = latency
         return latency
 
     def _retry_tail(self, provisioned_levels: int) -> tuple[float, ...]:

@@ -15,7 +15,7 @@ Three components:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.hlo import HloIdentifier
 from repro.errors import ConfigurationError
@@ -81,8 +81,7 @@ class ReducedCellPool:
         return len(self._pages) / self.max_pages
 
 
-@dataclass(frozen=True)
-class AccessDecision:
+class AccessDecision(NamedTuple):
     """Outcome of one read observation.
 
     Attributes
@@ -125,16 +124,17 @@ class AccessEval:
         the pool's LRU victim); pool members just refresh their recency.
         """
         is_hlo = self.identifier.observe_read(lpn, extra_levels)
-        if lpn in self.pool:
-            self.pool.touch(lpn)
-            return AccessDecision(is_hlo=is_hlo, promote=False)
-        if not is_hlo or self.pool.max_pages == 0:
-            return AccessDecision(is_hlo=is_hlo, promote=False)
-        evicted = self.pool.admit(lpn)
+        pool = self.pool
+        if lpn in pool:
+            pool.touch(lpn)
+            return AccessDecision(is_hlo, False)
+        if not is_hlo or pool.max_pages == 0:
+            return AccessDecision(is_hlo, False)
+        evicted = pool.admit(lpn)
         self.promotions += 1
         if evicted is not None:
             self.demotions += 1
-        return AccessDecision(is_hlo=True, promote=True, demote_lpn=evicted)
+        return AccessDecision(True, True, evicted)
 
     def on_overwrite(self, lpn: int) -> None:
         """Forget a page that was rewritten (new data, fresh pattern)."""

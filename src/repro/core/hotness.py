@@ -118,11 +118,32 @@ class MultiBloomHotness:
         """Record one read of ``key`` and return its frequency level.
 
         Equivalent to :meth:`record_read` followed by
-        :meth:`frequency_level`, validating the key once.
+        :meth:`frequency_level`, validating the key once.  It runs on
+        every flash read of FlexLevel, so the insert, the window tick,
+        the rotation and the count are one pass over the filters' bits.
+        The rotation comes first, exactly as in the two calls.  It
+        clears the filter *after* the one just written, so that one
+        still holds the key: it counts without re-hashing.
         """
-        key = _checked_key(key)
-        self._record(key)
-        return self._level(self._count(key))
+        mixed = _checked_key(key) + _GOLDEN
+        written = self._filters[self._current]
+        bits, n_bits = written.bits, written.n_bits
+        for seed in written._seeds:
+            bits[(((mixed * seed) & _MASK64) >> 17) % n_bits] = 1
+        self._accesses_in_window += 1
+        if self._accesses_in_window >= self.window:
+            self._rotate()
+        count = 1
+        for bloom in self._filters:
+            if bloom is written:
+                continue
+            bits, n_bits = bloom.bits, bloom.n_bits
+            for seed in bloom._seeds:
+                if not bits[(((mixed * seed) & _MASK64) >> 17) % n_bits]:
+                    break
+            else:
+                count += 1
+        return self._level(count)
 
     def hotness(self, key: int) -> int:
         """Raw hotness: how many filters have seen ``key`` (0..n_filters)."""

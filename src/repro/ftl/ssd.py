@@ -25,7 +25,7 @@ into read-only degraded mode instead of crashing — see docs/FAULTS.md.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ _MODE_TO_INT = {CellMode.NORMAL: 0, CellMode.REDUCED: 1, CellMode.SLC: 2}
 _INT_TO_MODE = {value: mode for mode, value in _MODE_TO_INT.items()}
 
 
-@dataclass(frozen=True)
-class PageReadInfo:
+class PageReadInfo(NamedTuple):
     """Everything a read-latency policy needs to know about a page."""
 
     lpn: int
@@ -250,10 +249,10 @@ class Ssd:
         self._check_lpn(lpn)
         if n_channels < 1:
             raise ConfigurationError(f"need at least one channel, got {n_channels}")
-        ppn = self._l2p[lpn]
+        ppn = self._l2p.item(lpn)
         if ppn == _FREE:
             return lpn % n_channels
-        return (int(ppn) // self.config.pages_per_block) % n_channels
+        return (ppn // self.config.pages_per_block) % n_channels
 
     def max_pe_cycles(self) -> float:
         """Highest per-block P/E count (initial wear + simulated erases)."""
@@ -305,19 +304,33 @@ class Ssd:
         """Metadata for a host read (mode, data age, wear).
 
         Reading an unmapped page is legal (hosts read unwritten LBAs);
-        it reports normal mode and zero age.
+        it reports normal mode and zero age.  Every host read passes
+        here, so it reads each array once, as a Python scalar, in place
+        of :meth:`_check_lpn`, :meth:`window_tick`, :meth:`_age_hours`
+        and :meth:`_current_pe`.
         """
-        self._check_lpn(lpn)
-        self.window_tick(now_us)
-        self.stats.host_read_pages += 1
-        ppn = self._l2p[lpn]
+        if not 0 <= lpn < self._logical_pages:
+            raise ConfigurationError(f"LPN {lpn} outside [0, {self._logical_pages})")
+        if self.observers and now_us > self._window_now_us:
+            self._window_now_us = now_us
+        stats = self.stats
+        stats.host_read_pages += 1
+        config = self.config
+        ppn = self._l2p.item(lpn)
         if ppn == _FREE:
-            return PageReadInfo(lpn, CellMode.NORMAL, 0.0, self._current_pe(None))
-        block = int(ppn) // self.config.pages_per_block
-        mode = self._mode_of_block(block)
-        age = self._age_hours(lpn, now_us)
-        self.stats.flash_read_pages += 1
-        return PageReadInfo(lpn, mode, age, self._current_pe(block), block)
+            return PageReadInfo(lpn, CellMode.NORMAL, 0.0, config.initial_pe_cycles)
+        block = ppn // config.pages_per_block
+        mode = _INT_TO_MODE.get(self._block_mode.item(block))
+        if mode is None:
+            self._mode_of_block(block)  # raises FtlError: free or retired
+        write_time = self._write_time_hours.item(lpn)
+        if write_time != write_time:  # NaN: not rewritten since prefill
+            age = self._initial_age_hours.item(lpn)
+        else:
+            age = max(us_to_hours(now_us) - write_time, 0.0)
+        stats.flash_read_pages += 1
+        pe_cycles = config.initial_pe_cycles + float(self._block_erase[block])
+        return PageReadInfo(lpn, mode, age, pe_cycles, block)
 
     def host_write(self, lpn: int, mode: CellMode, now_us: float) -> tuple[float, float]:
         """Write a logical page in the given mode.
@@ -805,10 +818,10 @@ class Ssd:
         return _INT_TO_MODE[int(mode)]
 
     def _age_hours(self, lpn: int, now_us: float) -> float:
-        write_time = self._write_time_hours[lpn]
-        if np.isnan(write_time):
-            return float(self._initial_age_hours[lpn])
-        return max(us_to_hours(now_us) - float(write_time), 0.0)
+        write_time = self._write_time_hours.item(lpn)
+        if write_time != write_time:  # NaN: not rewritten since prefill
+            return self._initial_age_hours.item(lpn)
+        return max(us_to_hours(now_us) - write_time, 0.0)
 
     def _current_pe(self, block: int | None) -> float:
         if block is None:

@@ -399,13 +399,15 @@ class DesSimulationEngine:
         service = breakdown.service_us
         rounds = 0
         uncorrectable = False
-        if self.retry_model is not None and not breakdown.buffer_hit:
-            outcome = self.retry_model.sample_outcome(breakdown)
-            rounds = outcome.extra_rounds
-            service += outcome.extra_us
-            if self._fault_injector is not None and outcome.exhausted:
+        retry_model = self.retry_model
+        if retry_model is not None and not breakdown.buffer_hit:
+            rounds, extra_us, exhausted, final_failure_probability = (
+                retry_model.sample_outcome(breakdown)
+            )
+            service += extra_us
+            if self._fault_injector is not None and exhausted:
                 uncorrectable = self._fault_injector.read_uncorrectable(
-                    outcome.final_failure_probability
+                    final_failure_probability
                 )
             if index >= self._warmup_count:
                 self._result.record_retry_rounds(rounds)

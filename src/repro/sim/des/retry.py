@@ -32,6 +32,7 @@ feeds the uncorrectable-read branch
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,7 @@ class ReadRetryConfig:
             raise ConfigurationError("margin_factor outside (0, 1)")
 
 
-@dataclass(frozen=True)
-class RetryOutcome:
+class RetryOutcome(NamedTuple):
     """One flash read's sampled trip through the sensing ladder.
 
     Attributes
@@ -147,14 +147,17 @@ class ReadRetryModel:
             breakdown.raw_ber,
             breakdown.provisioned_levels - breakdown.required_levels,
         )
-        if not breakdown.retry_rounds_us:
+        retry_rounds_us = breakdown.retry_rounds_us
+        if not retry_rounds_us:
             return RetryOutcome(0, 0.0, True, probability)
+        draw = self._rng.random
+        margin_factor = self.config.margin_factor
         rounds = 0
         extra_us = 0.0
-        for increment_us in breakdown.retry_rounds_us:
-            if self._rng.random() >= probability:
+        for increment_us in retry_rounds_us:
+            if draw() >= probability:
                 return RetryOutcome(rounds, extra_us, False, 0.0)
             rounds += 1
             extra_us += increment_us
-            probability *= self.config.margin_factor
+            probability *= margin_factor
         return RetryOutcome(rounds, extra_us, True, probability)

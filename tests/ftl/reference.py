@@ -1,4 +1,5 @@
-"""Scalar reference implementations of the array-native GC kernels.
+"""Scalar reference implementations of the array-native GC kernels and
+of the host read lookup.
 
 These are the per-block victim scan, the per-page relocation loop and
 the per-candidate cold-block pick the FTL used before garbage
@@ -6,6 +7,12 @@ collection worked on whole arrays, kept as differential oracles: the
 production code must pick the same victim (or None), leave byte-equal
 mapping arrays and write pointers, return the same ``service`` float
 and raise the same :class:`~repro.errors.FtlError`.
+
+:func:`read_info` is ``Ssd.read_info`` as it was composed from five
+helpers (LPN check, window tick, block mode, ``np.isnan``-based data
+age, current P/E) before the lookup became one pass: the production
+read must return the same fields, bit for bit and type for type, move
+the same counters and raise the same errors.
 
 They drive an :class:`~repro.ftl.ssd.Ssd` through its private block
 arrays and its scalar ``_invalidate`` / ``_allocate_page`` primitives,
@@ -17,8 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.level_adjust import CellMode
-from repro.errors import FtlError
-from repro.ftl.ssd import _BAD, _FREE, _MODE_TO_INT, Ssd
+from repro.errors import ConfigurationError, FtlError
+from repro.ftl.ssd import _BAD, _FREE, _INT_TO_MODE, _MODE_TO_INT, PageReadInfo, Ssd
+from repro.units import us_to_hours
 
 
 def usable_pages_by_mode(ssd: Ssd, mode: CellMode) -> int:
@@ -111,3 +119,53 @@ def pick_cold_block(
     if not candidates:
         return None
     return min(candidates, key=lambda b: (int(erase_counts[b]), -int(valid_counts[b])))
+
+
+# --- host read lookup ------------------------------------------------------------
+
+
+def read_info(ssd: Ssd, lpn: int, now_us: float) -> PageReadInfo:
+    """The helper-composed host read lookup."""
+    _check_lpn(ssd, lpn)
+    _window_tick(ssd, now_us)
+    ssd.stats.host_read_pages += 1
+    ppn = ssd._l2p[lpn]
+    if ppn == _FREE:
+        return PageReadInfo(lpn, CellMode.NORMAL, 0.0, _current_pe(ssd, None))
+    block = int(ppn) // ssd.config.pages_per_block
+    mode = _mode_of_block(ssd, block)
+    age = _age_hours(ssd, lpn, now_us)
+    ssd.stats.flash_read_pages += 1
+    return PageReadInfo(lpn, mode, age, _current_pe(ssd, block), block)
+
+
+def _check_lpn(ssd: Ssd, lpn: int) -> None:
+    if not 0 <= lpn < ssd._logical_pages:
+        raise ConfigurationError(f"LPN {lpn} outside [0, {ssd._logical_pages})")
+
+
+def _window_tick(ssd: Ssd, now_us: float) -> None:
+    if ssd.observers and now_us > ssd._window_now_us:
+        ssd._window_now_us = now_us
+
+
+def _mode_of_block(ssd: Ssd, block: int) -> CellMode:
+    mode = ssd._block_mode[block]
+    if mode == _FREE:
+        raise FtlError(f"block {block} is free, it has no mode")
+    if mode == _BAD:
+        raise FtlError(f"block {block} is retired, it has no mode")
+    return _INT_TO_MODE[int(mode)]
+
+
+def _age_hours(ssd: Ssd, lpn: int, now_us: float) -> float:
+    write_time = ssd._write_time_hours[lpn]
+    if np.isnan(write_time):
+        return float(ssd._initial_age_hours[lpn])
+    return max(us_to_hours(now_us) - float(write_time), 0.0)
+
+
+def _current_pe(ssd: Ssd, block: int | None) -> float:
+    if block is None:
+        return ssd.config.initial_pe_cycles
+    return ssd.config.initial_pe_cycles + float(ssd._block_erase[block])
