@@ -13,8 +13,6 @@ targets as small as 1e-15 remain numerically meaningful.
 
 from __future__ import annotations
 
-from scipy import stats
-
 from repro.errors import ConfigurationError
 
 #: Paper §6.1: targeted system UBER.
@@ -42,6 +40,10 @@ def uber(k: int, m: int, n: int, p: float) -> float:
     _check(k, m, n, p)
     if p == 0.0:
         return 0.0
+    # Deferred: scipy.stats costs most of ``import repro``, and only the
+    # UBER analysis needs it.
+    from scipy import stats
+
     tail = float(stats.binom.sf(k, m, p))
     return tail / n
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -49,8 +48,13 @@ class NandReadChannel:
             raise ConfigurationError(f"non-positive sensing span: {sensing_span}")
         self.raw_ber = raw_ber
         self.extra_levels = extra_levels
+        # Deferred, like the one in _gaussian_mass: only the bit-accurate
+        # read path loads scipy, never ``import repro``.
+        from scipy import special
+
         # BPSK signalling at +-1; sigma chosen so Q(1/sigma) = raw_ber.
-        self.sigma = 1.0 / stats.norm.isf(raw_ber)
+        # -ndtri(q) is what scipy.stats.norm.isf(q) computes, bit for bit.
+        self.sigma = 1.0 / -special.ndtri(raw_ber)
         self.thresholds = self._build_thresholds(sensing_span)
         self.region_llrs = self._build_region_llrs()
 
@@ -112,5 +116,11 @@ class NandReadChannel:
 
 
 def _gaussian_mass(low: float, high: float, mean: float, sigma: float) -> float:
-    """Probability mass of N(mean, sigma^2) within (low, high]."""
-    return float(stats.norm.cdf(high, mean, sigma) - stats.norm.cdf(low, mean, sigma))
+    """Probability mass of N(mean, sigma^2) within (low, high].
+
+    ``ndtr((x - mean) / sigma)`` is what ``scipy.stats.norm.cdf(x, mean,
+    sigma)`` computes, bit for bit.
+    """
+    from scipy import special
+
+    return float(special.ndtr((high - mean) / sigma) - special.ndtr((low - mean) / sigma))

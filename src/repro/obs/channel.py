@@ -52,6 +52,9 @@ CHANNEL_SCHEMA = "repro.channel/1"
 MODE_NAME_TO_INT = {"normal": 0, "reduced": 1, "slc": 2}
 INT_TO_MODE_NAME = {code: name for name, code in MODE_NAME_TO_INT.items()}
 
+#: Stands for "no read yet" in the one-entry mode cache.
+_NO_MODE = object()
+
 #: Glyph ramp for the ASCII block heatmap, lightest to darkest.
 HEATMAP_GLYPHS = " .:-=+*#%@"
 
@@ -121,7 +124,6 @@ class ChannelTelemetry:
         # bench_channel_telemetry overhead budget is won here).  The
         # numpy views below materialise on demand.
         self._reads = [0] * n_blocks
-        self._bits_read = [0] * n_blocks
         self._observed_errors = [0] * n_blocks
         self._analytic_ber_sum = [0.0] * n_blocks
         self._retry_rounds = [0] * n_blocks
@@ -135,6 +137,8 @@ class ChannelTelemetry:
 
         # Aggregates keyed by small discrete domains.
         self._mode_cache: dict[Any, int] = {}
+        self._cached_mode: Any = _NO_MODE
+        self._cached_mode_code = -1
         self._mode_acc: dict[int, list[float]] = {}
         self._channel_acc: dict[int, list[float]] = {}
         self._sensing_configs: dict[tuple[int, int], list[float]] = {}
@@ -144,8 +148,12 @@ class ChannelTelemetry:
         self._retire_reasons: dict[str, int] = {}
         self.decoder_stats: dict[str, dict[str, int]] = {}
         self.trajectories: list[dict[str, Any]] = []
-        self.events = 0
         self.aggregate_only_reads = 0
+
+    @property
+    def events(self) -> int:
+        """Flash reads recorded, including aggregate-only ones."""
+        return sum(acc[0] for acc in self._mode_acc.values())
 
     # --- per-block numpy views ------------------------------------------------------
 
@@ -155,7 +163,7 @@ class ChannelTelemetry:
 
     @property
     def bits_read(self) -> np.ndarray:
-        return np.asarray(self._bits_read, dtype=np.int64)
+        return self.reads * self.page_bits
 
     @property
     def observed_errors(self) -> np.ndarray:
@@ -201,7 +209,6 @@ class ChannelTelemetry:
 
     def on_read(
         self,
-        *,
         block: int,
         mode: Any,
         raw_ber: float,
@@ -220,26 +227,37 @@ class ChannelTelemetry:
         The observed count is a binomial draw at the analytic raw BER
         from the telemetry's own generator — statistically faithful to
         the channel model while leaving simulation RNG streams
-        untouched.
+        untouched.  The DES observer calls this on every flash read,
+        with positional arguments, so it does only the scalar updates
+        it must.
         """
         # Mode objects (CellMode members, names, ints) are a tiny
-        # closed set: memoise the normalisation per object.
-        mode_code = self._mode_cache.get(mode)
-        if mode_code is None:
-            mode_code = _mode_int(mode)
-            self._mode_cache[mode] = mode_code
-        p = min(max(float(raw_ber), 0.0), 1.0)
-        page_bits = self.page_bits
-        observed = int(self._binomial(page_bits, p))
-        self.events += 1
+        # closed set: memoise the normalisation per object, and skip
+        # even the dict (an Enum hashes in Python) when the mode is
+        # the previous read's.
+        if mode is self._cached_mode:
+            mode_code = self._cached_mode_code
+        else:
+            mode_code = self._mode_cache.get(mode)
+            if mode_code is None:
+                mode_code = self._mode_cache[mode] = _mode_int(mode)
+            self._cached_mode = mode
+            self._cached_mode_code = mode_code
+        p = float(raw_ber)
+        if p < 0.0:
+            p = 0.0
+        elif p > 1.0:
+            p = 1.0
+        observed = int(self._binomial(self.page_bits, p))
 
         if 0 <= block < self.n_blocks:
             self._reads[block] += 1
-            self._bits_read[block] += page_bits
             self._observed_errors[block] += observed
             self._analytic_ber_sum[block] += p
-            self._retry_rounds[block] += rounds
-            self._uncorrectable[block] += 1 if uncorrectable else 0
+            if rounds:
+                self._retry_rounds[block] += rounds
+            if uncorrectable:
+                self._uncorrectable[block] += 1
             self._pe_sum[block] += pe_cycles
             self._age_sum[block] += age_hours
             self._last_pe[block] = pe_cycles
@@ -247,28 +265,36 @@ class ChannelTelemetry:
         else:
             self.aggregate_only_reads += 1
 
-        acc = self._mode_acc.setdefault(mode_code, [0, 0, 0, 0.0, 0, 0])
+        # [reads, observed errors, analytic BER sum, retry rounds,
+        # uncorrectable]; bits read are reads * page_bits.
+        acc = self._mode_acc.get(mode_code)
+        if acc is None:
+            acc = self._mode_acc[mode_code] = [0, 0, 0.0, 0, 0]
         acc[0] += 1
-        acc[1] += page_bits
-        acc[2] += observed
-        acc[3] += p
-        acc[4] += rounds
-        acc[5] += 1 if uncorrectable else 0
-
-        chan = self._channel_acc.setdefault(int(channel), [0, 0, 0, 0])
+        acc[1] += observed
+        acc[2] += p
+        # [reads, observed errors, retry rounds, uncorrectable]
+        chan = self._channel_acc.get(channel)
+        if chan is None:
+            chan = self._channel_acc[channel] = [0, 0, 0, 0]
         chan[0] += 1
         chan[1] += observed
-        chan[2] += rounds
-        chan[3] += 1 if uncorrectable else 0
+        if rounds:
+            acc[3] += rounds
+            chan[2] += rounds
+        if uncorrectable:
+            acc[4] += 1
+            chan[3] += 1
 
-        cfg = self._sensing_configs.setdefault(
-            (mode_code, int(provisioned_levels)), [0, 0.0]
-        )
+        # [reads, analytic BER sum]
+        key = (mode_code, provisioned_levels)
+        cfg = self._sensing_configs.get(key)
+        if cfg is None:
+            cfg = self._sensing_configs[key] = [0, 0.0]
         cfg[0] += 1
         cfg[1] += p
-        self._required_levels[int(required_levels)] = (
-            self._required_levels.get(int(required_levels), 0) + 1
-        )
+        required = self._required_levels
+        required[required_levels] = required.get(required_levels, 0) + 1
 
         if tenant is not None:
             self.note_tenant_channel(tenant, channel)
@@ -375,7 +401,8 @@ class ChannelTelemetry:
         """Per-cell-mode observed vs analytic BER comparison."""
         out: dict[str, dict[str, float]] = {}
         for code in sorted(self._mode_acc):
-            reads, bits, errors, ber_sum, rounds, uncorr = self._mode_acc[code]
+            reads, errors, ber_sum, rounds, uncorr = self._mode_acc[code]
+            bits = reads * self.page_bits
             observed = errors / bits if bits else 0.0
             analytic = ber_sum / reads if reads else 0.0
             rel = abs(observed - analytic) / analytic if analytic > 0 else 0.0
@@ -474,13 +501,13 @@ class ChannelTelemetry:
                 "reads": int(self.reads.sum()) + self.aggregate_only_reads,
                 "aggregate_only_reads": self.aggregate_only_reads,
                 "observed_errors": int(
-                    sum(acc[2] for acc in self._mode_acc.values())
+                    sum(acc[1] for acc in self._mode_acc.values())
                 ),
-                "retry_rounds": int(sum(acc[4] for acc in self._mode_acc.values())),
+                "retry_rounds": int(sum(acc[3] for acc in self._mode_acc.values())),
                 "sensing_escalations": int(
-                    sum(acc[4] for acc in self._mode_acc.values())
+                    sum(acc[3] for acc in self._mode_acc.values())
                 ),
-                "uncorrectable": int(sum(acc[5] for acc in self._mode_acc.values())),
+                "uncorrectable": int(sum(acc[4] for acc in self._mode_acc.values())),
                 "erases": int(self.erases.sum()),
                 "retired_blocks": int(self.retired.sum()),
             },

@@ -53,7 +53,7 @@ from repro.baselines.systems import ReadServiceBreakdown, StorageSystem
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.des.events import Event, EventHeap, EventKind
 from repro.sim.des.ingress import PendingRequest, RequestSource, TraceSource
-from repro.sim.des.observers import RunObserver
+from repro.sim.des.observers import RunObserver, subscribers
 from repro.sim.des.retry import ReadRetryModel
 from repro.sim.des.scheduler import ChannelScheduler
 from repro.sim.results import DesSimulationResult
@@ -210,6 +210,13 @@ class DesSimulationEngine:
         observers = self.observers
         for observer in observers:
             observer.start(self.system, source, warmup_count, crash_us)
+        # Each per-event hook goes only to the observers that override it.
+        advancing = subscribers(observers, "advance")
+        self._on_arrival = subscribers(observers, "arrival")
+        self._on_gc_drained = subscribers(observers, "gc_drained")
+        self._on_op_serviced = subscribers(observers, "op_serviced")
+        self._on_dispatched = subscribers(observers, "dispatched")
+        self._on_request_complete = subscribers(observers, "request_complete")
 
         cut_us = math.inf if crash_us is None else crash_us
         arrival = self._arrival
@@ -224,7 +231,7 @@ class DesSimulationEngine:
                 break
             # Virtual time is monotone over popped events, and no
             # observation is ever made before the current event time.
-            for observer in observers:
+            for observer in advancing:
                 observer.advance(time_us)
             if kind is _ARRIVAL:
                 arrival(time_us, index)
@@ -287,7 +294,7 @@ class DesSimulationEngine:
     def _arrival(self, time_us: float, index: int) -> None:
         """An ``ARRIVAL`` event: dispatch the request, poll for the next."""
         request = self._pending[index]
-        for observer in self.observers:
+        for observer in self._on_arrival:
             observer.arrival(request, time_us)
         self._ops_dispatched += request.record.n_pages
         self._dispatch(request)
@@ -300,7 +307,7 @@ class DesSimulationEngine:
         self._requests_completed += 1
         self._last_completion_us = time_us
         done = self._pending.pop(index)
-        for observer in self.observers:
+        for observer in self._on_request_complete:
             observer.request_complete(done, time_us, response_us)
         if index >= self._warmup_count:
             self._result.record(done.record.is_write, response_us)
@@ -341,14 +348,15 @@ class DesSimulationEngine:
             ops_by_channel.setdefault(channel, []).append(lpn)
 
         scheduler = self._scheduler
-        observers = self.observers
+        on_gc_drained = self._on_gc_drained
+        on_op_serviced = self._on_op_serviced
         service_us = self._service_us
         completion = arrival
         first_op_start = math.inf
         for channel, lpns in ops_by_channel.items():
             report = scheduler.admit(channel, arrival)
             start = report.start_us
-            for observer in observers:
+            for observer in on_gc_drained:
                 observer.gc_drained(
                     channel, start, report.drained_us, report.stall_us
                 )
@@ -360,7 +368,7 @@ class DesSimulationEngine:
                 op_start = op_done - service
                 if op_start < first_op_start:
                     first_op_start = op_start
-                for observer in observers:
+                for observer in on_op_serviced:
                     observer.op_serviced(
                         pending, channel, lpn, op_start, service, op_done,
                         breakdown, rounds, uncorrectable,
@@ -372,7 +380,7 @@ class DesSimulationEngine:
         scheduler.add_background(self.system.take_background_us())
         self._heap.push(Event(completion, _REQUEST_COMPLETE, index, completion - t0))
         queue_wait = max(0.0, first_op_start - t0)
-        for observer in observers:
+        for observer in self._on_dispatched:
             observer.dispatched(pending, completion, queue_wait)
 
     def _service_us(

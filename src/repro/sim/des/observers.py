@@ -119,6 +119,19 @@ class RunObserver:
         pass
 
 
+def subscribers(observers, hook: str) -> tuple:
+    """The observers whose class overrides ``hook``, in order.
+
+    The engine sends each per-event hook only to these: every other
+    observer would run :class:`RunObserver`'s no-op, so leaving it out
+    changes nothing but the cost of attaching it.
+    """
+    noop = getattr(RunObserver, hook)
+    return tuple(
+        observer for observer in observers if getattr(type(observer), hook) is not noop
+    )
+
+
 class RecorderObserver(RunObserver):
     """Virtual-time-windowed series into a ``WindowedRecorder``.
 
@@ -280,8 +293,11 @@ class ChannelObserver(RunObserver):
     ):
         if breakdown is None or breakdown.buffer_hit:
             return
+        (
+            _, _, mode, required, levels, _, _, _, raw_ber, block, pe_cycles,
+            age_hours,
+        ) = breakdown
         telemetry = self.telemetry
-        levels = breakdown.provisioned_levels
         # The iteration trail only feeds the sampled trajectories; once
         # the cap is full, skip computing it on every remaining read.
         if len(telemetry.trajectories) < telemetry.trajectory_cap:
@@ -289,18 +305,8 @@ class ChannelObserver(RunObserver):
         else:
             trail = ()
         observed = telemetry.on_read(
-            block=breakdown.block,
-            mode=breakdown.mode,
-            raw_ber=breakdown.raw_ber,
-            provisioned_levels=levels,
-            required_levels=breakdown.required_levels,
-            pe_cycles=breakdown.pe_cycles,
-            age_hours=breakdown.age_hours,
-            channel=channel,
-            rounds=rounds,
-            uncorrectable=uncorrectable,
-            iterations=trail,
-            tenant=pending.attrs.get("tenant"),
+            block, mode, raw_ber, levels, required, pe_cycles, age_hours,
+            channel, rounds, uncorrectable, trail, pending.attrs.get("tenant"),
         )
         recorder = self.recorder
         if recorder is not None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from repro.ecc.ldpc import channel as channel_module
 from repro.ecc.ldpc.channel import MAX_LLR, NandReadChannel
 from repro.errors import ConfigurationError
 
@@ -54,6 +55,47 @@ class TestConstruction:
     def test_rejects_negative_levels(self):
         with pytest.raises(ConfigurationError):
             NandReadChannel(0.01, extra_levels=-1)
+
+
+class TestScipyStatsParity:
+    """The channel calls ``scipy.special`` directly; ``scipy.stats`` (the
+    distribution it used to call) is the oracle, compared by ``float.hex``."""
+
+    N_POINTS = 20_000
+
+    def test_sigma_bit_identical_to_norm_isf(self):
+        rng = np.random.default_rng(20150607)
+        bers = np.concatenate(
+            [
+                10.0 ** rng.uniform(-12.0, np.log10(0.5), self.N_POINTS),
+                [1e-300, 1e-15, 1e-3, 0.25, np.nextafter(0.5, 0.0)],
+            ]
+        )
+        expected = 1.0 / stats.norm.isf(bers)
+        mismatches = [
+            (float(ber).hex(), float(want).hex(), float(got).hex())
+            for ber, want in zip(bers, expected)
+            if float(got := NandReadChannel(float(ber)).sigma).hex() != float(want).hex()
+        ]
+        assert mismatches == []
+
+    def test_gaussian_mass_bit_identical_to_norm_cdf(self):
+        rng = np.random.default_rng(20150608)
+        n = self.N_POINTS
+        edges = np.sort(rng.normal(0.0, 2.0, (n, 2)), axis=1)
+        edges[: n // 8, 0] = -np.inf
+        edges[n // 8 : n // 4, 1] = np.inf
+        means = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        means[n // 2 :] = rng.normal(0.0, 1.5, n - n // 2)
+        sigmas = 10.0 ** rng.uniform(-2.0, 1.0, n)
+        low, high = edges[:, 0], edges[:, 1]
+        expected = stats.norm.cdf(high, means, sigmas) - stats.norm.cdf(low, means, sigmas)
+        mismatches = [
+            (args, float(want).hex())
+            for *args, want in zip(low, high, means, sigmas, expected)
+            if channel_module._gaussian_mass(*map(float, args)).hex() != float(want).hex()
+        ]
+        assert mismatches == []
 
 
 class TestTransmission:

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.systems import SystemConfig, build_system
+from repro.core.level_adjust import CellMode
 from repro.ecc.bch import BchCode
 from repro.ecc.ldpc.code import LdpcCode
 from repro.ecc.ldpc.decoder import BitFlipDecoder, MinSumDecoder
@@ -78,6 +79,91 @@ def test_on_read_accumulates_per_block_and_per_mode():
     mix = telemetry.channel_mix()
     assert mix["1"]["reads"] == 1 and mix["1"]["retry_rounds"] == 2
     assert telemetry.to_dict()["tenants"] == {"t0": {"1": 1}}
+
+
+def test_reads_match_a_plain_recount():
+    """Seeded reads, positional and by keyword, with modes given as
+    enum members, names and codes in any order, against a recount from
+    the list of reads; the draws come from an independent generator
+    with the telemetry's seed."""
+    rng = np.random.default_rng(5)
+    modes = (CellMode.NORMAL, CellMode.REDUCED, "slc", 0, "REDUCED", CellMode.SLC)
+    codes = {CellMode.NORMAL: 0, CellMode.REDUCED: 1, "slc": 2, 0: 0, "REDUCED": 1,
+             CellMode.SLC: 2}
+    telemetry = ChannelTelemetry(8, page_bits=4096, seed=11, trajectory_cap=0)
+    draws = np.random.default_rng(11)
+    reads = []
+    for i in range(600):
+        read = (
+            int(rng.integers(-1, 10)), modes[rng.integers(len(modes))],
+            float(rng.uniform(1e-4, 2e-2)), int(rng.integers(0, 4)),
+            int(rng.integers(0, 4)), float(rng.uniform(0.0, 1e4)),
+            float(rng.uniform(0.0, 500.0)), int(rng.integers(0, 4)),
+            int(rng.integers(0, 3)), bool(rng.random() < 0.1),
+        )
+        block, mode, ber, levels, required, pe, age, channel, rounds, bad = read
+        if i % 2:
+            observed = telemetry.on_read(*read)
+        else:
+            observed = telemetry.on_read(
+                block=block, mode=mode, raw_ber=ber,
+                provisioned_levels=np.int64(levels),
+                required_levels=np.int64(required), pe_cycles=pe,
+                age_hours=age, channel=np.int64(channel), rounds=rounds,
+                uncorrectable=bad,
+            )
+        assert observed == int(draws.binomial(4096, ber))
+        reads.append((read, observed))
+
+    in_range = [(r, o) for r, o in reads if 0 <= r[0] < 8]
+    for b in range(8):
+        mine = [(r, o) for r, o in in_range if r[0] == b]
+        assert telemetry.reads[b] == len(mine)
+        assert telemetry.bits_read[b] == 4096 * len(mine)
+        assert telemetry.observed_errors[b] == sum(o for _, o in mine)
+        assert telemetry.analytic_ber_sum[b] == sum((r[2] for r, _ in mine), 0.0)
+        assert telemetry.retry_rounds[b] == sum(r[8] for r, _ in mine)
+        assert telemetry.uncorrectable[b] == sum(r[9] for r, _ in mine)
+        assert telemetry.pe_sum[b] == sum((r[5] for r, _ in mine), 0.0)
+        assert telemetry.age_sum[b] == sum((r[6] for r, _ in mine), 0.0)
+        assert telemetry.last_pe[b] == (mine[-1][0][5] if mine else 0.0)
+        assert telemetry.last_mode[b] == (codes[mine[-1][0][1]] if mine else -1)
+    assert telemetry.events == len(reads)
+    assert telemetry.aggregate_only_reads == len(reads) - len(in_range)
+
+    names = {0: "normal", 1: "reduced", 2: "slc"}
+    by_mode = telemetry.observed_vs_analytic()
+    for code, name in names.items():
+        mine = [(r, o) for r, o in reads if codes[r[1]] == code]
+        assert by_mode[name]["reads"] == len(mine)
+        assert by_mode[name]["bits"] == 4096 * len(mine)
+        assert by_mode[name]["observed_errors"] == sum(o for _, o in mine)
+        assert by_mode[name]["analytic_ber"] == sum((r[2] for r, _ in mine), 0.0) / len(mine)
+        assert by_mode[name]["retry_rounds"] == sum(r[8] for r, _ in mine)
+        assert by_mode[name]["uncorrectable"] == sum(r[9] for r, _ in mine)
+    assert telemetry.channel_mix() == {
+        str(c): {
+            "reads": sum(1 for r, _ in reads if r[7] == c),
+            "observed_errors": sum(o for r, o in reads if r[7] == c),
+            "retry_rounds": sum(r[8] for r, _ in reads if r[7] == c),
+            "uncorrectable": sum(r[9] for r, _ in reads if r[7] == c),
+        }
+        for c in range(4)
+    }
+    payload = telemetry.to_dict()
+    assert payload["required_levels_histogram"] == {
+        str(n): sum(1 for r, _ in reads if r[4] == n) for n in range(4)
+    }
+    configs = {
+        (entry["mode"], entry["provisioned_levels"]): entry["reads"]
+        for entry in payload["sensing_configs"]
+    }
+    assert configs == {
+        (names[code], n): count
+        for code in names
+        for n in range(4)
+        if (count := sum(1 for r, _ in reads if codes[r[1]] == code and r[3] == n))
+    }
 
 
 def test_out_of_range_block_feeds_aggregates_only():

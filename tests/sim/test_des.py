@@ -23,6 +23,7 @@ from repro.sim import (
 from repro.obs import Tracer, WindowedRecorder
 from repro.sim.des.events import Event, EventHeap, EventKind
 from repro.sim.des.ingress import TraceSource
+from repro.sim.des.observers import subscribers
 from repro.sim.des.scheduler import ChannelScheduler
 from repro.traces.schema import TraceRecord
 from tests.sim.reference import run_single_queue
@@ -439,6 +440,27 @@ class TestObserverSeam:
         first = events.index(("arrival", 0))
         last = events.index(("dispatched", 0))
         assert events[first + 1 : last] == [("op", 0)] * trace[0].n_pages
+
+    def test_hooks_reach_only_the_observers_that_override_them(self):
+        class PageOpCounter(RunObserver):
+            def __init__(self):
+                self.ops = 0
+
+            def op_serviced(self, pending, *rest):
+                self.ops += 1
+
+        recording, counter = RecordingObserver(), PageOpCounter()
+        both = (recording, counter)
+        assert subscribers(both, "op_serviced") == both
+        assert subscribers(both, "advance") == (recording,)
+        assert subscribers(both, "gc_drained") == ()
+        trace = write_heavy_trace(300)
+        DesSimulationEngine(
+            gc_heavy_system("flexlevel"), warmup_fraction=0.1, n_channels=4,
+            observers=both,
+        ).run(trace, "t")
+        assert counter.ops == sum(record.n_pages for record in trace)
+        assert counter.ops == sum(1 for e in recording.events if e[0] == "op")
 
     def test_no_op_observer_leaves_outputs_identical(self):
         runs = []
