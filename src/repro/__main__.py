@@ -1,56 +1,16 @@
 """Command-line entry point: ``python -m repro <command>``.
 
-Commands
---------
-report
-    Generate the full reproduction report (markdown).
-simulate
-    Run the four storage systems on one paper workload and print the
-    comparison table (``--json`` for machine-readable rows plus a run
-    manifest).  ``--spo-rate`` adds seeded sudden-power-off injection:
-    each system crash/recovers/resumes through the same SPO schedule.
-crash
-    Sudden-power-off drill on one system: cut the run at ``--at-us``
-    (or at seeded ``--spo-rate`` arrivals), remount from the on-medium
-    state (checkpoint + journal, OOB-scan cross-check), replay the
-    power-loss-protection log, and resume the trace suffix.  Exports a
-    deterministic ``repro/crash-run/v1`` artifact with per-cycle
-    recovery breakdowns; see docs/RECOVERY.md.
-trace
-    Run one system through the DES engine with per-request tracing and
-    export the sampled span trees (Chrome trace JSON and/or JSONL)
-    with a run manifest.
-explain
-    Attribute end-to-end latency exactly to named causes (queue wait,
-    GC stalls, sensing, transfer, LDPC decode, retry rounds, ...) per
-    percentile band, alongside virtual-time-windowed telemetry series;
-    ``--vs`` diffs the blame tables of two systems.
-serve
-    Multi-tenant serving front-end: seeded tenant arrival streams feed
-    per-tenant NVMe-style queue pairs, a QoS scheduler (FIFO /
-    weighted-fair / EDF) decides dispatch order, and the report breaks
-    response times, SLO violations and latency blame down per tenant.
-    ``--monitor`` attaches the online health monitor (per-tenant SLO
-    burn-rate alerting plus change-point rules).
-monitor
-    Online health monitoring of one workload replay: multi-window SLO
-    burn-rate alerting and CUSUM / Page–Hinkley change-point detection
-    over the windowed wear-drift telemetry, each alert carrying a
-    latency-blame snapshot of the offending window.  Exports a
-    deterministic ``repro.monitor/1`` artifact, a JSONL alert stream
-    and a Prometheus text-format metrics snapshot.
-metrics
-    Telemetry namespace tools; ``metrics ls <workload>`` runs a short
-    replay and dumps every dotted metric name it populates with its
-    instrument type (counter / gauge / histogram / windowed).
-profile
-    Wall-clock profile of one workload replay in three modes —
-    ``instrument`` (per-event-type and per-phase wall accounting over
-    the engine loop), ``sample`` (collapsed-stack sampler for
-    flamegraph/speedscope) and ``alloc`` (tracemalloc top allocation
-    sites) — writing a ``repro.profile/1`` artifact plus a run
-    manifest.  Given a CSV file path instead of a workload name, it
-    summarises the trace's workload statistics (legacy surface).
+``report`` writes the reproduction report; ``simulate`` compares the
+four storage systems on one paper workload.  ``crash`` (power-cut
+drill), ``trace`` (sampled span trees), ``explain`` (latency blame per
+percentile band), ``channel`` (media telemetry), ``monitor`` (online
+health alerts), ``metrics ls`` (the metric namespace) and ``profile``
+(wall-clock profile) replay one system on one workload's seeded trace;
+``serve`` replays a multi-tenant mix under a QoS scheduler.  Each
+replay is built by :class:`repro.sim.replay.Replay` from the shared run
+arguments (``serve`` takes its drive and system from it); a command
+that writes an artifact puts a ``<stem>_manifest.json`` run manifest
+beside it.  ``<command> --help`` lists the options.
 """
 
 from __future__ import annotations
@@ -74,106 +34,122 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return report_main(forwarded)
 
 
-def _simulation_inputs(args: argparse.Namespace):
-    """The (ssd_config, workload, trace) a run starts from."""
-    from repro.ftl import SsdConfig
-    from repro.traces import make_workload
-
-    ssd_config = SsdConfig(
-        n_blocks=args.blocks, pages_per_block=64, initial_pe_cycles=args.pe
-    )
-    workload = make_workload(args.workload, ssd_config.logical_pages)
-    trace = workload.generate(args.requests, seed=args.seed)
-    return ssd_config, workload, trace
-
-
-def _build_system(
-    args: argparse.Namespace, name: str, ssd_config, workload, fault_config,
-    policy=None,
-):
-    """One storage system, with a fresh fault injector when faults are on.
-
-    Every system of a run sees the same fault schedule, drawn from the
-    same seeded streams.  ``policy`` defaults to a private
-    LevelAdjustPolicy.
-    """
-    from repro.baselines import SystemConfig, build_system
-    from repro.core.level_adjust import LevelAdjustPolicy
-    from repro.faults import FaultInjector
-
-    return build_system(
-        name,
-        SystemConfig.for_run(
-            ssd_config, workload.footprint_pages, args.requests
-        ),
-        level_adjust=policy or LevelAdjustPolicy(),
-        fault_injector=(
-            FaultInjector(fault_config) if fault_config is not None else None
-        ),
-    )
-
-
-def _engine(args: argparse.Namespace, system, **instruments):
-    """The run's engine: warmup, channels and read retry from ``args``.
-
-    ``instruments`` (registry, tracer, recorder, channel_telemetry) are
-    attached as observers (:func:`repro.sim.observe`).
-    """
-    from repro.sim import DesSimulationEngine, ReadRetryModel, observe
-
-    return DesSimulationEngine(
-        system,
-        warmup_fraction=args.warmup_fraction,
-        n_channels=args.channels,
-        retry_model=None if args.no_retry else ReadRetryModel(),
-        observers=observe(**instruments),
-    )
-
-
-def _run_config(args: argparse.Namespace) -> dict:
-    """The manifest's JSON-serialisable run configuration.
-
-    ``engine`` is a constant: it keeps every recorded config hash.
-    """
-    return {
-        "workload": args.workload,
-        "requests": args.requests,
-        "blocks": args.blocks,
-        "pe": args.pe,
-        "seed": args.seed,
-        "engine": "des",
-        "channels": args.channels,
-        "retry": not args.no_retry,
-    }
-
-
-def _fault_config(args: argparse.Namespace):
-    """The run's FaultConfig, or None when ``--faults`` was not given."""
+def _replay(args: argparse.Namespace):
+    """The :class:`~repro.sim.replay.Replay` the run arguments describe."""
     from repro.faults import FaultConfig
+    from repro.sim.replay import Replay
 
-    if not args.faults:
-        return None
-    return FaultConfig(enabled=True, seed=args.fault_seed).scaled(
-        args.fault_scale
+    faults = None
+    if args.faults:
+        faults = FaultConfig(enabled=True, seed=args.fault_seed).scaled(
+            args.fault_scale
+        )
+    return Replay(
+        args.workload,
+        args.requests,
+        blocks=args.blocks,
+        pe=args.pe,
+        seed=args.seed,
+        channels=args.channels,
+        retry=not args.no_retry,
+        warmup_fraction=args.warmup_fraction,
+        faults=faults,
     )
+
+
+def _check_vs(args: argparse.Namespace) -> None:
+    """``--vs`` must name a known system other than ``--system``.
+
+    Checked before the first replay, so a bad name costs no run.
+    """
+    from repro.baselines import system_names
+    from repro.errors import ConfigurationError
+
+    others = [name for name in system_names() if name != args.system]
+    if args.vs is not None and args.vs not in others:
+        raise ConfigurationError(
+            f"--vs {args.vs!r} must name a system other than "
+            f"{args.system!r}; choose from {others}"
+        )
+
+
+def _out_path(args: argparse.Namespace) -> Path:
+    """``--out``, else the command's default name filled in from ``args``."""
+    return Path(args.out or args.default_out.format(**vars(args)))
+
+
+def _write_artifact(
+    args: argparse.Namespace,
+    artifact: dict,
+    builder,
+    render,
+    *,
+    noun: str,
+    metrics: dict,
+    side_files: tuple[str, ...] | list[str] = (),
+    peak_py_alloc_kb: int | None = None,
+    **extra,
+) -> None:
+    """Write a command's artifact and its manifest sidecar, then show it.
+
+    The artifact is sort-keyed, indented JSON at :func:`_out_path`; the
+    manifest (``builder`` finished with ``metrics`` and ``extra``) lands
+    beside it as ``<stem>_manifest.json`` and lists ``side_files``, which
+    the command has already written, after it.  stdout gets the artifact
+    itself under ``--json``, else ``render(artifact)``; stderr gets the
+    written paths.  ``peak_py_alloc_kb`` replaces the manifest's own
+    reading when tracemalloc stopped before the manifest was finished.
+    """
+    out = _out_path(args)
+    text = json.dumps(artifact, indent=2, sort_keys=True) + "\n"
+    out.write_text(text)
+    manifest = builder.finish(
+        metrics=metrics, artifacts=[str(out), *side_files], **extra
+    )
+    if peak_py_alloc_kb is not None:
+        import dataclasses
+
+        manifest = dataclasses.replace(
+            manifest, peak_py_alloc_kb=peak_py_alloc_kb
+        )
+    manifest_path = manifest.write(out.with_name(out.stem + "_manifest.json"))
+    if args.json:
+        print(text, end="")
+    else:
+        print(render(artifact))
+    print(f"{noun} written to {out}", file=sys.stderr)
+    print(f"manifest written to {manifest_path}", file=sys.stderr)
+
+
+def _write_monitor_files(monitor, registry, jsonl, prom) -> list[str]:
+    """Write the alert stream and metrics snapshot asked for; their paths.
+
+    ``monitor`` is None on an unmonitored run, which has no alert stream.
+    """
+    from repro.obs.monitor import write_prometheus
+
+    written = []
+    if jsonl and monitor is not None:
+        monitor.write_jsonl(jsonl)
+        written.append(jsonl)
+        print(f"alert stream written to {jsonl}", file=sys.stderr)
+    if prom:
+        write_prometheus(registry, prom)
+        written.append(prom)
+        print(f"prometheus snapshot written to {prom}", file=sys.stderr)
+    return written
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
-    from repro.baselines import SystemConfig, system_names
+    from repro.baselines import system_names
     from repro.core.level_adjust import LevelAdjustPolicy
-    from repro.obs import ManifestBuilder, MetricsRegistry
-    from repro.sim import run_with_crashes
-    from repro.traces import workload_names
+    from repro.obs import MetricsRegistry
 
-    if args.workload not in workload_names():
-        print(f"unknown workload {args.workload!r}; choose from {workload_names()}")
-        return 2
-    ssd_config, workload, trace = _simulation_inputs(args)
+    run = _replay(args)
     # One policy shared by the four systems (its BER cache counters
     # land in every system's stats).
     policy = LevelAdjustPolicy()
-    fault_config = _fault_config(args)
     power = None
     if args.spo_rate != 0.0:
         from repro.faults import PowerConfig
@@ -181,14 +157,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         power = PowerConfig(
             enabled=True, seed=args.spo_seed, rate_per_s=args.spo_rate
         )
-    run_config = _run_config(args)
-    if power is not None:
-        run_config["spo"] = power.to_dict()
-    builder = ManifestBuilder.begin(
-        "repro simulate", run_config, seed=args.seed
+    builder = run.begin(
+        "repro simulate", **({} if power is None else {"spo": power.to_dict()})
     )
-    if fault_config is not None:
-        builder.set_fault_config(fault_config.to_dict())
     rows = []
     json_rows = []
     manifest_metrics: dict[str, float] = {}
@@ -196,29 +167,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         registry = MetricsRegistry() if args.json else None
         crash_run = None
         if power is not None:
-            crash_run = run_with_crashes(
-                name,
-                SystemConfig.for_run(
-                    ssd_config, workload.footprint_pages, args.requests
-                ),
-                trace,
-                power,
-                fault_config=fault_config,
-                warmup_fraction=args.warmup_fraction,
-                n_channels=args.channels,
-                retry=not args.no_retry,
-                workload_name=args.workload,
-                registry=registry,
-            )
+            crash_run = run.with_crashes(name, power, registry=registry)
             system = crash_run.final_system
             result = crash_run.final
         else:
-            system = _build_system(
-                args, name, ssd_config, workload, fault_config, policy
-            )
-            result = _engine(args, system, registry=registry).run(
-                trace, args.workload
-            )
+            engine = run.engine(name, policy, registry=registry)
+            system = engine.system
+            result = engine.run(run.trace, args.workload)
         percentiles = result.percentiles()
         utilization = result.channel_utilization()
         row = [
@@ -233,11 +188,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             int(result.stats["erase_blocks"]),
         ]
         if crash_run is not None:
-            row += [
-                crash_run.crashes,
-                sum(r.recovery_time_us for r in crash_run.reports),
-            ]
-        if fault_config is not None:
+            recovery_us = sum(r.recovery_time_us for r in crash_run.reports)
+            row += [crash_run.crashes, recovery_us]
+        if run.faults is not None:
             row += [
                 result.uncorrectable_reads,
                 int(system.ssd.stats.blocks_retired),
@@ -247,13 +200,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.json:
             json_row = {"system": name, "summary": result.summary()}
             if crash_run is not None:
-                crash_body = crash_run.to_dict()
                 json_row["crash"] = {
                     "crashes": crash_run.crashes,
-                    "recovery_time_us": sum(
-                        r.recovery_time_us for r in crash_run.reports
-                    ),
-                    "fingerprint": crash_body["fingerprint"],
+                    "recovery_time_us": recovery_us,
+                    "fingerprint": crash_run.to_dict()["fingerprint"],
                 }
             json_rows.append(json_row)
             manifest_metrics.update(
@@ -287,7 +237,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ]
     if power is not None:
         headers += ["crashes", "recovery us"]
-    if fault_config is not None:
+    if run.faults is not None:
         headers += ["uncorr", "retired", "read-only"]
     print(format_table(headers, rows))
     return 0
@@ -326,24 +276,16 @@ def _crash_text(body: dict) -> str:
 
 
 def _cmd_crash(args: argparse.Namespace) -> int:
-    from repro.baselines import SystemConfig, system_names
+    from repro.errors import ConfigurationError
     from repro.faults import PowerConfig
     from repro.ftl import RecoveryConfig
-    from repro.obs import ManifestBuilder, MetricsRegistry
-    from repro.sim import run_with_crashes
-    from repro.traces import workload_names
+    from repro.obs import MetricsRegistry
 
-    if args.workload not in workload_names():
-        print(f"unknown workload {args.workload!r}; choose from {workload_names()}")
-        return 2
-    if args.system not in system_names():
-        print(f"unknown system {args.system!r}; choose from {system_names()}")
-        return 2
     if args.at_us is None and args.spo_rate == 0.0:
-        print("error: need --at-us or --spo-rate to schedule a power cut",
-              file=sys.stderr)
-        return 2
-    ssd_config, workload, trace = _simulation_inputs(args)
+        raise ConfigurationError(
+            "need --at-us or --spo-rate to schedule a power cut"
+        )
+    run = _replay(args)
     power = PowerConfig(
         enabled=True,
         seed=args.spo_seed,
@@ -351,88 +293,49 @@ def _cmd_crash(args: argparse.Namespace) -> int:
         rate_per_s=args.spo_rate,
         max_crashes=args.max_crashes,
     )
-    recovery = RecoveryConfig(
-        checkpoint_interval_us=args.checkpoint_interval_us
-    )
-    fault_config = _fault_config(args)
-    run_config = _run_config(args)
-    run_config.update(
-        {
-            "system": args.system,
-            "spo": power.to_dict(),
-            "resume": args.resume,
-            "checkpoint_interval_us": args.checkpoint_interval_us,
-        }
-    )
-    builder = ManifestBuilder.begin("repro crash", run_config, seed=args.seed)
-    if fault_config is not None:
-        builder.set_fault_config(fault_config.to_dict())
-    registry = MetricsRegistry()
-    run = run_with_crashes(
-        args.system,
-        SystemConfig.for_run(
-            ssd_config, workload.footprint_pages, args.requests
-        ),
-        trace,
-        power,
-        recovery=recovery,
-        fault_config=fault_config,
+    builder = run.begin(
+        "repro crash",
+        system=args.system,
+        spo=power.to_dict(),
         resume=args.resume,
-        warmup_fraction=args.warmup_fraction,
-        n_channels=args.channels,
-        retry=not args.no_retry,
-        workload_name=args.workload,
+        checkpoint_interval_us=args.checkpoint_interval_us,
+    )
+    registry = MetricsRegistry()
+    crash_run = run.with_crashes(
+        args.system,
+        power,
+        recovery=RecoveryConfig(
+            checkpoint_interval_us=args.checkpoint_interval_us
+        ),
+        resume=args.resume,
         registry=registry,
     )
-    body = run.to_dict()
-    out = Path(args.out or f"crash_{args.workload}_{args.system}.json")
-    text = json.dumps(body, indent=2, sort_keys=True)
-    out.write_text(text + "\n")
-    manifest = builder.finish(
+    body = crash_run.to_dict()
+    _write_artifact(
+        args,
+        body,
+        builder,
+        _crash_text,
+        noun="artifact",
         metrics=registry.snapshot(),
-        artifacts=[str(out)],
-        crashes=run.crashes,
+        crashes=crash_run.crashes,
         fingerprint=body["fingerprint"],
     )
-    manifest_path = manifest.write(out.with_name(out.stem + "_manifest.json"))
-    if args.json:
-        print(text)
-    else:
-        print(_crash_text(body))
-    print(f"artifact written to {out}", file=sys.stderr)
-    print(f"manifest written to {manifest_path}", file=sys.stderr)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.baselines import system_names
-    from repro.obs import ManifestBuilder, MetricsRegistry, Tracer
-    from repro.traces import workload_names
+    from repro.obs import MetricsRegistry, Tracer
 
-    if args.workload not in workload_names():
-        print(f"unknown workload {args.workload!r}; choose from {workload_names()}")
-        return 2
-    if args.system not in system_names():
-        print(f"unknown system {args.system!r}; choose from {system_names()}")
-        return 2
-    ssd_config, workload, trace = _simulation_inputs(args)
-    fault_config = _fault_config(args)
-    system = _build_system(
-        args, args.system, ssd_config, workload, fault_config
-    )
+    run = _replay(args)
+    builder = run.begin("repro trace", system=args.system)
     tracer = Tracer(
         sample_every=args.sample_every, keep_slowest=args.keep_slowest
     )
     registry = MetricsRegistry()
-    engine = _engine(args, system, registry=registry, tracer=tracer)
-    run_config = _run_config(args)
-    run_config["system"] = args.system
-    builder = ManifestBuilder.begin("repro trace", run_config, seed=args.seed)
-    if fault_config is not None:
-        builder.set_fault_config(fault_config.to_dict())
-    result = engine.run(trace, args.workload)
+    result = run.replay(args.system, registry=registry, tracer=tracer)
 
-    out = Path(args.out or f"trace_{args.workload}_{args.system}.json")
+    out = _out_path(args)
     written = []
     if args.format in ("chrome", "both"):
         tracer.write_chrome_trace(out)
@@ -515,52 +418,32 @@ def _blame_markdown(artifact: dict) -> str:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.baselines import system_names
     from repro.obs import (
         AttributionReport,
-        ManifestBuilder,
         MetricsRegistry,
         Tracer,
         WindowedRecorder,
         diff_reports,
     )
-    from repro.traces import workload_names
 
-    if args.workload not in workload_names():
-        print(f"unknown workload {args.workload!r}; choose from {workload_names()}")
-        return 2
-    for name in [args.system] + ([args.vs] if args.vs else []):
-        if name not in system_names():
-            print(f"unknown system {name!r}; choose from {system_names()}")
-            return 2
-    if args.vs == args.system:
-        print(f"--vs {args.vs!r} must name a different system")
-        return 2
-    ssd_config, workload, trace = _simulation_inputs(args)
-    fault_config = _fault_config(args)
+    _check_vs(args)
+    run = _replay(args)
+    builder = run.begin(
+        "repro explain", system=args.system, vs=args.vs, window_us=args.window_us
+    )
 
     def run_one(system_name: str):
-        system = _build_system(
-            args, system_name, ssd_config, workload, fault_config
-        )
         tracer = Tracer(
             sample_every=args.sample_every, keep_slowest=args.keep_slowest
         )
         registry = MetricsRegistry()
         recorder = WindowedRecorder(window_us=args.window_us)
-        _engine(
-            args, system, registry=registry, tracer=tracer, recorder=recorder
-        ).run(trace, args.workload)
+        run.replay(
+            system_name, registry=registry, tracer=tracer, recorder=recorder
+        )
         report = AttributionReport.from_spans(tracer.spans)
         return tracer, registry, recorder, report
 
-    run_config = _run_config(args)
-    run_config.update(
-        {"system": args.system, "vs": args.vs, "window_us": args.window_us}
-    )
-    builder = ManifestBuilder.begin("repro explain", run_config, seed=args.seed)
-    if fault_config is not None:
-        builder.set_fault_config(fault_config.to_dict())
     tracer, registry, recorder, report = run_one(args.system)
     # The report artifact holds only virtual-time quantities, so a
     # fixed seed and config reproduce it byte for byte; wall-clock
@@ -582,39 +465,17 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             "windows": vs_recorder.to_dict(),
             "diff": diff_reports(report, vs_report),
         }
-    out = Path(args.out or f"explain_{args.workload}_{args.system}.json")
-    text = json.dumps(artifact, indent=2, sort_keys=True)
-    out.write_text(text + "\n")
-    manifest = builder.finish(
+    _write_artifact(
+        args,
+        artifact,
+        builder,
+        lambda a: _blame_csv(a["report"]) if args.csv else _blame_markdown(a),
+        noun="report",
         metrics=registry.snapshot(),
-        artifacts=[str(out)],
         traces_kept=len(tracer.spans),
         requests_seen=tracer.n_seen,
     )
-    manifest_path = manifest.write(out.with_name(out.stem + "_manifest.json"))
-    if args.json:
-        print(text)
-    elif args.csv:
-        print(_blame_csv(artifact["report"]))
-    else:
-        print(_blame_markdown(artifact))
-    print(f"report written to {out}", file=sys.stderr)
-    print(f"manifest written to {manifest_path}", file=sys.stderr)
     return 0
-
-
-def _channel_heatmap_lines(
-    payload: dict, metric: str, width: int
-) -> list[str]:
-    """ASCII block heatmap rows for one channel-artifact payload."""
-    import numpy as np
-
-    from repro.obs import render_block_heatmap
-
-    values = np.zeros(payload["config"]["n_blocks"])
-    for entry in payload["blocks"]:
-        values[entry["block"]] = entry[metric]
-    return render_block_heatmap(values, width=width)
 
 
 def _channel_markdown(artifact: dict) -> str:
@@ -673,6 +534,10 @@ def _channel_markdown(artifact: dict) -> str:
 
 def _channel_text(artifact: dict, metric: str, width: int) -> str:
     """Default TTY view: summary plus the per-block heatmap."""
+    import numpy as np
+
+    from repro.obs import render_block_heatmap
+
     payload = artifact["channel"]
     totals = payload["totals"]
     lines = [
@@ -690,7 +555,10 @@ def _channel_text(artifact: dict, metric: str, width: int) -> str:
             f"  rel.err {row['relative_error']:.2%}"
         )
     lines.append(f"per-block {metric} heatmap ({width} blocks/row):")
-    lines.extend(_channel_heatmap_lines(payload, metric, width))
+    values = np.zeros(payload["config"]["n_blocks"])
+    for entry in payload["blocks"]:
+        values[entry["block"]] = entry[metric]
+    lines.extend(render_block_heatmap(values, width=width))
     if "vs" in artifact:
         diff = artifact["vs"]["diff"]
         lines.append(
@@ -705,55 +573,38 @@ def _channel_text(artifact: dict, metric: str, width: int) -> str:
 
 
 def _cmd_channel(args: argparse.Namespace) -> int:
-    from repro.baselines import system_names
+    from repro.errors import ConfigurationError
     from repro.obs import (
         ChannelTelemetry,
-        ManifestBuilder,
         MetricsRegistry,
         WindowedRecorder,
         diff_channel_artifacts,
     )
-    from repro.traces import workload_names
 
-    if args.workload not in workload_names():
-        print(f"unknown workload {args.workload!r}; choose from {workload_names()}")
-        return 2
-    for name in [args.system] + ([args.vs] if args.vs else []):
-        if name not in system_names():
-            print(f"unknown system {name!r}; choose from {system_names()}")
-            return 2
-    if args.vs == args.system:
-        print(f"--vs {args.vs!r} must name a different system")
-        return 2
-    ssd_config, workload, trace = _simulation_inputs(args)
-    fault_config = _fault_config(args)
+    _check_vs(args)
+    if args.heatmap_width < 1:
+        raise ConfigurationError(
+            f"--heatmap-width must be positive: {args.heatmap_width}"
+        )
+    run = _replay(args)
+    builder = run.begin("repro channel", system=args.system, vs=args.vs)
 
     def run_one(system_name: str):
-        system = _build_system(
-            args, system_name, ssd_config, workload, fault_config
-        )
         registry = MetricsRegistry()
-        recorder = WindowedRecorder(window_us=args.window_us)
         telemetry = ChannelTelemetry(
-            ssd_config.n_blocks,
-            page_bits=ssd_config.page_size_bytes * 8,
+            run.ssd_config.n_blocks,
+            page_bits=run.ssd_config.page_size_bytes * 8,
             seed=args.seed,
             trajectory_cap=args.trajectories,
         )
-        _engine(
-            args,
-            system,
+        run.replay(
+            system_name,
             registry=registry,
-            recorder=recorder,
+            recorder=WindowedRecorder(window_us=args.window_us),
             channel_telemetry=telemetry,
-        ).run(trace, args.workload)
+        )
         return telemetry, registry
 
-    run_config = _run_config(args)
-    run_config.update({"system": args.system, "vs": args.vs})
-    builder = ManifestBuilder.begin("repro channel", run_config, seed=args.seed)
-    if fault_config is not None:
-        builder.set_fault_config(fault_config.to_dict())
     telemetry, registry = run_one(args.system)
     payload = telemetry.to_dict()
     # Wall-free: every field derives from seeded virtual-time state, so
@@ -774,41 +625,33 @@ def _cmd_channel(args: argparse.Namespace) -> int:
             "channel": vs_payload,
             "diff": diff_channel_artifacts(payload, vs_payload),
         }
-    out = Path(args.out or f"channel_{args.workload}_{args.system}.json")
-    text = json.dumps(artifact, indent=2, sort_keys=True)
-    out.write_text(text + "\n")
-    manifest = builder.finish(
-        metrics=registry.snapshot(), artifacts=[str(out)]
+    _write_artifact(
+        args,
+        artifact,
+        builder,
+        lambda a: (
+            _channel_markdown(a)
+            if args.markdown
+            else _channel_text(a, args.heatmap_metric, args.heatmap_width)
+        ),
+        noun="channel artifact",
+        metrics=registry.snapshot(),
     )
-    manifest_path = manifest.write(out.with_name(out.stem + "_manifest.json"))
-    if args.json:
-        print(text)
-    elif args.markdown:
-        print(_channel_markdown(artifact))
-    else:
-        print(_channel_text(artifact, args.heatmap_metric, args.heatmap_width))
-    print(f"channel artifact written to {out}", file=sys.stderr)
-    print(f"manifest written to {manifest_path}", file=sys.stderr)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.baselines import SystemConfig, build_system, system_names
-    from repro.ftl import SsdConfig
     from repro.obs import ManifestBuilder, MetricsRegistry, WindowedRecorder
-    from repro.obs.monitor import MonitorConfig, write_prometheus
+    from repro.obs.monitor import MonitorConfig
     from repro.serve import (
         ServeEngine,
         build_artifact,
-        dump_artifact,
         parse_mix,
         per_tenant_reports,
         render_markdown,
     )
+    from repro.sim.replay import Replay
 
-    if args.system not in system_names():
-        print(f"unknown system {args.system!r}; choose from {system_names()}")
-        return 2
     # parse_mix validates workload names in the mix (exit 2 via the
     # top-level ConfigurationError handler).
     specs = parse_mix(
@@ -818,20 +661,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sq_depth=args.sq_depth,
         n_tenants=args.tenants,
     )
-    ssd_config = SsdConfig(
-        n_blocks=args.blocks, pages_per_block=64, initial_pe_cycles=args.pe
+    # No workload: tenants spread their private hot sets across the
+    # whole logical space, so the footprint is the full drive.
+    run = Replay(
+        None,
+        args.requests,
+        blocks=args.blocks,
+        pe=args.pe,
+        seed=args.seed,
+        channels=args.channels,
     )
-    # Tenants spread their private hot sets across the whole logical
-    # space, so the footprint is the full drive.
-    config = SystemConfig.for_run(
-        ssd_config, ssd_config.logical_pages, args.requests
-    )
-    system = build_system(args.system, config)
     registry = MetricsRegistry()
     recorder = WindowedRecorder(window_us=args.window_us)
     monitored = args.monitor or bool(args.monitor_jsonl or args.monitor_prom)
     engine = ServeEngine(
-        system,
+        run.system(args.system),
         specs,
         seed=args.seed,
         scheduler=args.scheduler,
@@ -870,34 +714,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         result, reports, include_requests=args.include_requests
     )
     artifact["windows"] = recorder.to_dict()
-    out = Path(args.out or f"serve_{args.scheduler}_{args.system}.json")
-    text = dump_artifact(artifact)
-    out.write_text(text)
-    artifacts = [str(out)]
-    if args.monitor_jsonl and result.monitor is not None:
-        result.monitor.write_jsonl(args.monitor_jsonl)
-        artifacts.append(args.monitor_jsonl)
-        print(f"alert stream written to {args.monitor_jsonl}", file=sys.stderr)
-    if args.monitor_prom:
-        write_prometheus(registry, args.monitor_prom)
-        artifacts.append(args.monitor_prom)
-        print(
-            f"prometheus snapshot written to {args.monitor_prom}",
-            file=sys.stderr,
-        )
-    manifest = builder.finish(
+    side_files = _write_monitor_files(
+        result.monitor, registry, args.monitor_jsonl, args.monitor_prom
+    )
+    _write_artifact(
+        args,
+        artifact,
+        builder,
+        render_markdown,
+        noun="report",
         metrics=registry.snapshot(),
-        artifacts=artifacts,
+        side_files=side_files,
         tenants=len(specs),
         requests_completed=artifact["fleet"]["completed"],
     )
-    manifest_path = manifest.write(out.with_name(out.stem + "_manifest.json"))
-    if args.json:
-        print(text, end="")
-    else:
-        print(render_markdown(artifact))
-    print(f"report written to {out}", file=sys.stderr)
-    print(f"manifest written to {manifest_path}", file=sys.stderr)
     return 0
 
 
@@ -931,33 +761,23 @@ def _monitor_text(artifact: dict) -> str:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from repro.baselines import system_names
-    from repro.obs import (
-        ManifestBuilder,
-        MetricsRegistry,
-        Tracer,
-        WindowedRecorder,
-    )
+    from repro.obs import MetricsRegistry, Tracer, WindowedRecorder
     from repro.obs.monitor import (
         HealthMonitor,
         MonitorConfig,
         TtyStatusView,
         monitor_fingerprint,
         parse_rule,
-        write_prometheus,
     )
-    from repro.traces import workload_names
 
-    if args.workload not in workload_names():
-        print(f"unknown workload {args.workload!r}; choose from {workload_names()}")
-        return 2
-    if args.system not in system_names():
-        print(f"unknown system {args.system!r}; choose from {system_names()}")
-        return 2
-    ssd_config, workload, trace = _simulation_inputs(args)
-    fault_config = _fault_config(args)
-    system = _build_system(
-        args, args.system, ssd_config, workload, fault_config
+    run = _replay(args)
+    builder = run.begin(
+        "repro monitor",
+        system=args.system,
+        window_us=args.window_us,
+        slo_us=args.slo_us,
+        warmup_windows=args.warmup_windows,
+        rules=list(args.rule),
     )
     # Every request is traced (sample_every=1) and there is no warmup
     # exclusion (the parser's warmup_fraction default is 0): a monitor
@@ -979,23 +799,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     if args.status:
         status = TtyStatusView(sys.stderr)
         monitor.add_observer(status)
-    engine = _engine(
-        args, system, registry=registry, tracer=tracer, recorder=recorder
-    )
-    run_config = _run_config(args)
-    run_config.update(
-        {
-            "system": args.system,
-            "window_us": args.window_us,
-            "slo_us": args.slo_us,
-            "warmup_windows": args.warmup_windows,
-            "rules": list(args.rule),
-        }
-    )
-    builder = ManifestBuilder.begin("repro monitor", run_config, seed=args.seed)
-    if fault_config is not None:
-        builder.set_fault_config(fault_config.to_dict())
-    engine.run(trace, args.workload)
+    run.replay(args.system, registry=registry, tracer=tracer, recorder=recorder)
     if status is not None:
         status.finish()
     # The artifact is virtual-time-only (the monitor never sees wall
@@ -1012,31 +816,18 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "monitor": body,
     }
-    out = Path(args.out or f"monitor_{args.workload}_{args.system}.json")
-    text = json.dumps(artifact, indent=2, sort_keys=True)
-    out.write_text(text + "\n")
-    artifacts = [str(out)]
-    if args.jsonl:
-        monitor.write_jsonl(args.jsonl)
-        artifacts.append(args.jsonl)
-        print(f"alert stream written to {args.jsonl}", file=sys.stderr)
-    if args.prom:
-        write_prometheus(registry, args.prom)
-        artifacts.append(args.prom)
-        print(f"prometheus snapshot written to {args.prom}", file=sys.stderr)
-    manifest = builder.finish(
+    side_files = _write_monitor_files(monitor, registry, args.jsonl, args.prom)
+    _write_artifact(
+        args,
+        artifact,
+        builder,
+        _monitor_text,
+        noun="report",
         metrics=registry.snapshot(),
-        artifacts=artifacts,
+        side_files=side_files,
         windows_closed=monitor.windows_closed,
         alerts=monitor.n_alerts,
     )
-    manifest_path = manifest.write(out.with_name(out.stem + "_manifest.json"))
-    if args.json:
-        print(text)
-    else:
-        print(_monitor_text(artifact))
-    print(f"report written to {out}", file=sys.stderr)
-    print(f"manifest written to {manifest_path}", file=sys.stderr)
     if args.fail_on_alert and monitor.n_alerts > 0:
         print(f"{monitor.n_alerts} alert(s) raised", file=sys.stderr)
         return 1
@@ -1044,21 +835,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics_ls(args: argparse.Namespace) -> int:
-    from repro.baselines import system_names
     from repro.obs import ChannelTelemetry, MetricsRegistry, WindowedRecorder
     from repro.obs.monitor import HealthMonitor, metric_kind
-    from repro.traces import workload_names
 
-    if args.workload not in workload_names():
-        print(f"unknown workload {args.workload!r}; choose from {workload_names()}")
-        return 2
-    if args.system not in system_names():
-        print(f"unknown system {args.system!r}; choose from {system_names()}")
-        return 2
-    ssd_config, workload, trace = _simulation_inputs(args)
-    system = _build_system(
-        args, args.system, ssd_config, workload, _fault_config(args)
-    )
+    run = _replay(args)
     registry = MetricsRegistry()
     recorder = WindowedRecorder(window_us=args.window_us)
     # Attaching the monitor makes its own monitor.* instruments part of
@@ -1067,17 +847,16 @@ def _cmd_metrics_ls(args: argparse.Namespace) -> int:
     # channel.* series and instruments part of the listing.
     HealthMonitor(recorder, registry=registry).attach()
     telemetry = ChannelTelemetry(
-        ssd_config.n_blocks,
-        page_bits=ssd_config.page_size_bytes * 8,
+        run.ssd_config.n_blocks,
+        page_bits=run.ssd_config.page_size_bytes * 8,
         seed=args.seed,
     )
-    _engine(
-        args,
-        system,
+    run.replay(
+        args.system,
         registry=registry,
         recorder=recorder,
         channel_telemetry=telemetry,
-    ).run(trace, args.workload)
+    )
     instruments = [
         {"name": name, "kind": metric_kind(instrument)}
         for name, instrument in registry.instruments()
@@ -1172,7 +951,7 @@ def _profile_text(artifact: dict) -> list[str]:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    target = Path(args.target)
+    target = Path(args.workload)
     if target.is_file():
         # Legacy surface: ``repro profile <trace.csv>`` summarises a
         # CSV trace file's workload statistics.
@@ -1183,81 +962,123 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             print(f"{key:22s} {value}")
         return 0
 
-    from repro.obs import ManifestBuilder, MetricsRegistry
-    from repro.obs.profile import profile_fingerprint, profile_workload
+    from repro.errors import ConfigurationError
+    from repro.obs import MetricsRegistry
+    from repro.obs.profile import profile_fingerprint, profile_replay
 
-    run_config = {
-        "workload": args.target,
-        "system": args.system,
-        "mode": args.mode,
-        "requests": args.requests,
-        "blocks": args.blocks,
-        "pe": args.pe,
-        "seed": args.seed,
-        "engine": "des",
-        "channels": args.channels,
-        "retry": not args.no_retry,
-    }
-    builder = ManifestBuilder.begin("repro profile", run_config, seed=args.seed)
+    if args.collapsed and args.mode != "sample":
+        raise ConfigurationError("--collapsed requires --mode sample")
+    run = _replay(args)
+    builder = run.begin("repro profile", system=args.system, mode=args.mode)
     registry = MetricsRegistry()
-    artifact = profile_workload(
-        args.target,
+    artifact = profile_replay(
+        run,
         mode=args.mode,
         system=args.system,
-        requests=args.requests,
-        blocks=args.blocks,
-        pe=args.pe,
-        seed=args.seed,
-        channels=args.channels,
-        retry=not args.no_retry,
         hz=args.hz,
         top=args.top,
         registry=registry,
     )
     artifact["fingerprint"] = profile_fingerprint(artifact)
-    out = Path(args.out or f"profile_{args.target}_{args.mode}.json")
-    out.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
-    manifest = builder.finish(
-        metrics=registry.snapshot(),
-        artifacts=[str(out)],
-        fingerprint=artifact["fingerprint"],
-    )
-    if args.mode == "alloc":
-        # allocation_profile stops tracemalloc before the manifest is
-        # finalised; carry the measured peak over explicitly.
-        import dataclasses
-
-        manifest = dataclasses.replace(
-            manifest,
-            peak_py_alloc_kb=int(artifact["wall"]["alloc"]["peak_kb"]),
-        )
-    manifest_path = manifest.write(out.with_name(out.stem + "_manifest.json"))
     if args.collapsed:
-        if args.mode != "sample":
-            print("error: --collapsed requires --mode sample", file=sys.stderr)
-            return 2
         collapsed_path = Path(args.collapsed)
         collapsed_path.write_text(
             "\n".join(artifact["wall"]["sampler"]["collapsed"]) + "\n"
         )
         print(f"collapsed stacks written to {collapsed_path}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(artifact, indent=2, sort_keys=True))
-    else:
-        print("\n".join(_profile_text(artifact)))
-    print(f"profile written to {out}", file=sys.stderr)
-    print(f"manifest written to {manifest_path}", file=sys.stderr)
+    _write_artifact(
+        args,
+        artifact,
+        builder,
+        lambda a: "\n".join(_profile_text(a)),
+        noun="profile",
+        metrics=registry.snapshot(),
+        # allocation_profile stops tracemalloc before the manifest is
+        # finished; carry the measured peak over explicitly.
+        peak_py_alloc_kb=(
+            int(artifact["wall"]["alloc"]["peak_kb"])
+            if args.mode == "alloc"
+            else None
+        ),
+        fingerprint=artifact["fingerprint"],
+    )
     return 0
 
 
-def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    """The simulation-scale arguments every trace-replay command shares.
+#: Options several commands share, each declared once here.
+_SHARED_OPTIONS = {
+    "--system": {
+        "default": "flexlevel",
+        "help": "storage system to run (default: flexlevel)",
+    },
+    "--window-us": {
+        "type": float,
+        "default": 1000.0,
+        "help": "telemetry window width in simulated microseconds "
+        "(default 1000 = 1 ms)",
+    },
+    "--json": {
+        "action": "store_true",
+        "help": "print JSON to stdout instead of the human-readable view",
+    },
+    "--sample-every": {
+        "type": int,
+        "default": 1,
+        "help": "trace every N-th post-warmup request (default: "
+        "%(default)s; 0 disables head sampling)",
+    },
+    "--keep-slowest": {
+        "type": int,
+        "default": 0,
+        "help": "also keep the K slowest requests' traces "
+        "(default: %(default)s)",
+    },
+    "--spo-rate": {
+        "type": float,
+        "default": 0.0,
+        "help": "seeded sudden-power-off arrival rate in crashes per "
+        "simulated second; see docs/RECOVERY.md",
+    },
+    "--spo-seed": {
+        "type": int,
+        "default": 2029,
+        "help": "SPO schedule RNG seed (independent of --seed)",
+    },
+}
+
+
+def _add_options(parser, *flags: str, out: str | None = None) -> None:
+    """Declare the shared ``flags`` on ``parser`` (or an argument group).
+
+    ``out`` adds ``--out``, whose default is ``out`` filled in from the
+    parsed arguments (:func:`_out_path`).
+    """
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
+    if out is not None:
+        parser.add_argument(
+            "--out",
+            default=None,
+            help="artifact path (default: "
+            + out.replace("{", "<").replace("}", ">")
+            + "); the run manifest is written beside it as "
+            "<stem>_manifest.json",
+        )
+        parser.set_defaults(default_out=out)
+
+
+def _add_run_arguments(
+    parser: argparse.ArgumentParser, *, faults: bool = True, **workload
+) -> None:
+    """The run arguments every trace-replay command shares (:func:`_replay`).
 
     Leading requests replay unrecorded (warmup) unless a command sets
-    its own ``warmup_fraction`` default.
+    its own ``warmup_fraction`` default.  ``workload`` holds extra
+    keywords (metavar, help) for the workload positional; ``faults``
+    adds the fault-injection options.
     """
-    parser.set_defaults(warmup_fraction=0.25)
-    parser.add_argument("workload", nargs="?", default="fin-2")
+    parser.set_defaults(warmup_fraction=0.25, faults=False)
+    parser.add_argument("workload", nargs="?", default="fin-2", **workload)
     parser.add_argument("--requests", type=int, default=30_000)
     parser.add_argument("--blocks", type=int, default=256)
     parser.add_argument("--pe", type=float, default=6000.0)
@@ -1274,6 +1095,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable the read-retry model",
     )
+    if not faults:
+        return
     parser.add_argument(
         "--faults",
         action="store_true",
@@ -1311,31 +1134,14 @@ def main(argv: list[str] | None = None) -> int:
 
     simulate = commands.add_parser("simulate", help="compare the four systems")
     _add_run_arguments(simulate)
-    simulate.add_argument(
-        "--json",
-        action="store_true",
-        help="emit machine-readable per-system summaries plus a run "
-        "manifest instead of the table",
-    )
+    _add_options(simulate, "--json")
     simulate.add_argument(
         "--out-dir",
         default=".",
         help="directory the --json run manifest is written to",
     )
-    simulate.add_argument(
-        "--spo-rate",
-        type=float,
-        default=0.0,
-        help="seeded sudden-power-off arrival rate (crashes per "
-        "simulated second); each system crash/recovers/resumes through "
-        "the same schedule — see docs/RECOVERY.md",
-    )
-    simulate.add_argument(
-        "--spo-seed",
-        type=int,
-        default=2029,
-        help="SPO schedule RNG seed (independent of --seed)",
-    )
+    # Each system crash/recovers/resumes through the same SPO schedule.
+    _add_options(simulate, "--spo-rate", "--spo-seed")
     simulate.set_defaults(handler=_cmd_simulate)
 
     crash = commands.add_parser(
@@ -1346,10 +1152,13 @@ def main(argv: list[str] | None = None) -> int:
     # Every leg's responses count: the drill compares legs, not a
     # steady state.
     crash.set_defaults(warmup_fraction=0.0)
-    crash.add_argument(
+    _add_options(
+        crash,
         "--system",
-        default="flexlevel",
-        help="storage system to crash (default: flexlevel)",
+        "--json",
+        "--spo-rate",
+        "--spo-seed",
+        out="crash_{workload}_{system}.json",
     )
     crash.add_argument(
         "--at-us",
@@ -1357,18 +1166,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="deterministic power cut at this virtual time "
         "(microseconds); combine with or replace --spo-rate",
-    )
-    crash.add_argument(
-        "--spo-rate",
-        type=float,
-        default=0.0,
-        help="seeded SPO arrival rate in crashes per simulated second",
-    )
-    crash.add_argument(
-        "--spo-seed",
-        type=int,
-        default=2029,
-        help="SPO schedule RNG seed (independent of --seed)",
     )
     crash.add_argument(
         "--max-crashes",
@@ -1390,49 +1187,26 @@ def main(argv: list[str] | None = None) -> int:
         help="virtual-time gap between mapping checkpoints (smaller = "
         "shorter journal replay at remount)",
     )
-    crash.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full repro/crash-run/v1 artifact JSON to stdout",
-    )
-    crash.add_argument(
-        "--out",
-        default=None,
-        help="artifact path (default: crash_<workload>_<system>.json)",
-    )
     crash.set_defaults(handler=_cmd_crash)
 
     trace = commands.add_parser(
         "trace", help="record and export sampled per-request traces"
     )
     _add_run_arguments(trace)
-    trace.add_argument(
+    _add_options(
+        trace,
         "--system",
-        default="flexlevel",
-        help="storage system to trace (default: flexlevel)",
-    )
-    trace.add_argument(
         "--sample-every",
-        type=int,
-        default=100,
-        help="keep every N-th request's trace (0 disables head sampling)",
-    )
-    trace.add_argument(
         "--keep-slowest",
-        type=int,
-        default=8,
-        help="always keep the K slowest requests' traces",
+        out="trace_{workload}_{system}.json",
     )
+    trace.set_defaults(sample_every=100, keep_slowest=8)
     trace.add_argument(
         "--format",
         choices=("chrome", "jsonl", "both"),
         default="chrome",
-        help="chrome: chrome://tracing JSON; jsonl: one span tree per line",
-    )
-    trace.add_argument(
-        "--out",
-        default=None,
-        help="output path (default: trace_<workload>_<system>.json)",
+        help="chrome: chrome://tracing JSON; jsonl: one span tree per line "
+        "(next to --out, with a .jsonl suffix)",
     )
     trace.set_defaults(handler=_cmd_trace)
 
@@ -1441,10 +1215,15 @@ def main(argv: list[str] | None = None) -> int:
         help="attribute end-to-end latency to causes per percentile band",
     )
     _add_run_arguments(explain)
-    explain.add_argument(
+    # Every request is attributed by default, so blame reconciles with
+    # the response histograms.
+    _add_options(
+        explain,
         "--system",
-        default="flexlevel",
-        help="storage system to explain (default: flexlevel)",
+        "--window-us",
+        "--sample-every",
+        "--keep-slowest",
+        out="explain_{workload}_{system}.json",
     )
     explain.add_argument(
         "--vs",
@@ -1454,36 +1233,12 @@ def main(argv: list[str] | None = None) -> int:
         "(candidate - SYSTEM)",
     )
     explain.add_argument(
-        "--sample-every",
-        type=int,
-        default=1,
-        help="attribute every N-th post-warmup request (default 1: all "
-        "of them, so blame reconciles with the response histograms)",
-    )
-    explain.add_argument(
-        "--keep-slowest",
-        type=int,
-        default=0,
-        help="additionally keep the K slowest requests' traces",
-    )
-    explain.add_argument(
-        "--window-us",
-        type=float,
-        default=1000.0,
-        help="telemetry window width in simulated microseconds "
-        "(default 1000 = 1 ms)",
-    )
-    explain.add_argument(
         "--include-requests",
         action="store_true",
         help="embed per-request attribution records in the JSON artifact",
     )
     explain_format = explain.add_mutually_exclusive_group()
-    explain_format.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full report artifact JSON to stdout",
-    )
+    _add_options(explain_format, "--json")
     explain_format.add_argument(
         "--csv", action="store_true", help="print the blame tables as CSV"
     )
@@ -1491,11 +1246,6 @@ def main(argv: list[str] | None = None) -> int:
         "--markdown",
         action="store_true",
         help="print a markdown blame table (the default)",
-    )
-    explain.add_argument(
-        "--out",
-        default=None,
-        help="report artifact path (default: explain_<workload>_<system>.json)",
     )
     explain.set_defaults(handler=_cmd_explain)
 
@@ -1505,10 +1255,8 @@ def main(argv: list[str] | None = None) -> int:
         "and LDPC-convergence statistics",
     )
     _add_run_arguments(channel)
-    channel.add_argument(
-        "--system",
-        default="flexlevel",
-        help="storage system to instrument (default: flexlevel)",
+    _add_options(
+        channel, "--system", "--window-us", out="channel_{workload}_{system}.json"
     )
     channel.add_argument(
         "--vs",
@@ -1516,13 +1264,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SYSTEM",
         help="also run SYSTEM on the same trace and diff sensing-level "
         "usage and per-mode BER (the Fig. 6 mechanism made visible)",
-    )
-    channel.add_argument(
-        "--window-us",
-        type=float,
-        default=1000.0,
-        help="telemetry window width in simulated microseconds "
-        "(default 1000 = 1 ms)",
     )
     channel.add_argument(
         "--trajectories",
@@ -1550,20 +1291,11 @@ def main(argv: list[str] | None = None) -> int:
         help="heatmap blocks per row (default 32)",
     )
     channel_format = channel.add_mutually_exclusive_group()
-    channel_format.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full channel artifact JSON to stdout",
-    )
+    _add_options(channel_format, "--json")
     channel_format.add_argument(
         "--markdown",
         action="store_true",
         help="print markdown mode/sensing tables",
-    )
-    channel.add_argument(
-        "--out",
-        default=None,
-        help="artifact path (default: channel_<workload>_<system>.json)",
     )
     channel.set_defaults(handler=_cmd_channel)
 
@@ -1615,10 +1347,8 @@ def main(argv: list[str] | None = None) -> int:
         help="per-tenant token-bucket admission rate in requests/s "
         "(default: unshaped)",
     )
-    serve.add_argument(
-        "--system",
-        default="flexlevel",
-        help="storage system to serve on (default: flexlevel)",
+    _add_options(
+        serve, "--system", "--window-us", out="serve_{scheduler}_{system}.json"
     )
     serve.add_argument("--requests", type=int, default=400,
                        help="requests submitted per tenant")
@@ -1627,31 +1357,16 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--seed", type=int, default=1)
     serve.add_argument("--channels", type=int, default=4)
     serve.add_argument(
-        "--window-us",
-        type=float,
-        default=1000.0,
-        help="telemetry window width in simulated microseconds",
-    )
-    serve.add_argument(
         "--include-requests",
         action="store_true",
         help="embed per-request attribution records in the JSON artifact",
     )
     serve_format = serve.add_mutually_exclusive_group()
-    serve_format.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full serve artifact JSON to stdout",
-    )
+    _add_options(serve_format, "--json")
     serve_format.add_argument(
         "--markdown",
         action="store_true",
         help="print the markdown SLO report (the default)",
-    )
-    serve.add_argument(
-        "--out",
-        default=None,
-        help="artifact path (default: serve_<scheduler>_<system>.json)",
     )
     serve.add_argument(
         "--monitor",
@@ -1690,18 +1405,15 @@ def main(argv: list[str] | None = None) -> int:
         "and change-point alerts with per-window blame tables",
     )
     _add_run_arguments(monitor)
-    monitor.add_argument(
-        "--system",
-        default="flexlevel",
-        help="storage system to monitor (default: flexlevel)",
-    )
     monitor.set_defaults(warmup_fraction=0.0)
-    monitor.add_argument(
+    # Every request is traced by default, for the per-alert blame tables.
+    _add_options(
+        monitor,
+        "--system",
         "--window-us",
-        type=float,
-        default=1000.0,
-        help="telemetry window width in simulated microseconds "
-        "(default 1000 = 1 ms)",
+        "--json",
+        "--sample-every",
+        out="monitor_{workload}_{system}.json",
     )
     monitor.add_argument(
         "--slo-us",
@@ -1726,13 +1438,6 @@ def main(argv: list[str] | None = None) -> int:
         "[,k=v...]) specs (repeatable); see docs/MONITORING.md",
     )
     monitor.add_argument(
-        "--sample-every",
-        type=int,
-        default=1,
-        help="trace every N-th request for the per-alert blame tables "
-        "(default 1: all of them)",
-    )
-    monitor.add_argument(
         "--status",
         action="store_true",
         help="live TTY status line on stderr (one redraw per closed "
@@ -1755,16 +1460,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="exit 1 when any alert fired (CI health gate)",
     )
-    monitor.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full monitor artifact JSON to stdout",
-    )
-    monitor.add_argument(
-        "--out",
-        default=None,
-        help="artifact path (default: monitor_<workload>_<system>.json)",
-    )
     monitor.set_defaults(handler=_cmd_monitor)
 
     metrics = commands.add_parser(
@@ -1778,22 +1473,7 @@ def main(argv: list[str] | None = None) -> int:
         "populates, with instrument types",
     )
     _add_run_arguments(metrics_ls)
-    metrics_ls.add_argument(
-        "--system",
-        default="flexlevel",
-        help="storage system to run (default: flexlevel)",
-    )
-    metrics_ls.add_argument(
-        "--window-us",
-        type=float,
-        default=1000.0,
-        help="telemetry window width in simulated microseconds",
-    )
-    metrics_ls.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the listing as JSON",
-    )
+    _add_options(metrics_ls, "--system", "--window-us", "--json")
     # A short run discovers the namespace just as well as a full one.
     metrics_ls.set_defaults(handler=_cmd_metrics_ls, requests=2000)
 
@@ -1801,11 +1481,14 @@ def main(argv: list[str] | None = None) -> int:
         "profile",
         help="wall-clock profile of a workload replay (or CSV trace stats)",
     )
-    profile.add_argument(
-        "target",
-        nargs="?",
-        default="fin-2",
+    _add_run_arguments(
+        profile,
+        faults=False,
+        metavar="target",
         help="workload name to profile, or a CSV trace file to summarise",
+    )
+    _add_options(
+        profile, "--system", "--json", out="profile_{workload}_{mode}.json"
     )
     profile.add_argument(
         "--mode",
@@ -1814,23 +1497,6 @@ def main(argv: list[str] | None = None) -> int:
         help="instrument: per-event/per-phase wall accounting; sample: "
         "collapsed-stack sampler for flamegraphs; alloc: tracemalloc "
         "allocation sites",
-    )
-    profile.add_argument(
-        "--system",
-        default="flexlevel",
-        help="storage system to replay (default: flexlevel)",
-    )
-    profile.add_argument("--requests", type=int, default=30_000)
-    profile.add_argument("--blocks", type=int, default=256)
-    profile.add_argument("--pe", type=float, default=6000.0)
-    profile.add_argument("--seed", type=int, default=1)
-    profile.add_argument(
-        "--channels", type=int, default=4, help="flash channels (default: 4)"
-    )
-    profile.add_argument(
-        "--no-retry",
-        action="store_true",
-        help="disable the read-retry model",
     )
     profile.add_argument(
         "--hz",
@@ -1852,16 +1518,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also write collapsed-stack lines here (--mode sample; feed "
         "to flamegraph.pl or speedscope)",
     )
-    profile.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full repro.profile/1 artifact JSON to stdout",
-    )
-    profile.add_argument(
-        "--out",
-        default=None,
-        help="artifact path (default: profile_<workload>_<mode>.json)",
-    )
     profile.set_defaults(handler=_cmd_profile)
 
     args = parser.parse_args(argv)
@@ -1870,9 +1526,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except ConfigurationError as exc:
-        # Bad names and values from any layer (unknown workload in a
-        # tenant mix, malformed mix grammar, invalid knobs) exit 2
-        # instead of surfacing a traceback.
+        # Bad names and values from any layer (unknown workload or
+        # system, malformed mix grammar, invalid knobs) exit 2 instead
+        # of surfacing a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -202,11 +202,6 @@ class ManifestBuilder:
     ) -> "ManifestBuilder":
         return cls(command, dict(config or {}), seed)
 
-    def update_config(self, config: dict[str, Any]) -> "ManifestBuilder":
-        """Merge knobs discovered after ``begin`` into the run config."""
-        self.config.update(config)
-        return self
-
     def set_fault_config(
         self, fault_config: dict[str, Any] | None
     ) -> "ManifestBuilder":

@@ -402,6 +402,8 @@ def allocation_profile(
     tracing is restarted so the peak brackets exactly this run) and is
     stopped before returning unless it was already on.
     """
+    if top < 0:
+        raise ConfigurationError(f"negative allocation-site count: {top}")
     was_tracing = tracemalloc.is_tracing()
     if was_tracing:
         tracemalloc.stop()
@@ -497,59 +499,59 @@ def profile_workload(
 ) -> dict[str, Any]:
     """Profile one workload replay and return the ``repro.profile/1`` artifact.
 
+    The keyword form of :func:`profile_replay`: the run arguments build
+    a :class:`repro.sim.replay.Replay` with the default warmup.
+    """
+    # Deferred: repro.sim imports repro.obs.metrics, so a module-level
+    # import here would be a package cycle.
+    from repro.sim.replay import Replay
+
+    run = Replay(
+        workload,
+        requests,
+        blocks=blocks,
+        pe=pe,
+        seed=seed,
+        channels=channels,
+        retry=retry,
+    )
+    return profile_replay(
+        run, mode=mode, system=system, hz=hz, top=top, registry=registry
+    )
+
+
+def profile_replay(
+    run: Any,
+    *,
+    mode: str = "instrument",
+    system: str = "flexlevel",
+    hz: float = 97.0,
+    top: int = 15,
+    registry: Any = None,
+) -> dict[str, Any]:
+    """Profile ``system`` replaying ``run`` (a :class:`repro.sim.replay.Replay`).
+
     The deterministic half of the artifact (config echo plus the run's
     simulated-time summary) is independent of the machine; everything
     wall-clock lives under ``"wall"`` and is excluded from
     :func:`profile_fingerprint` and from config hashing.
     """
-    # Imports are deferred: repro.sim imports repro.obs.metrics, so a
-    # module-level import here would be a package cycle.
-    from repro.baselines import SystemConfig, build_system, system_names
-    from repro.core.level_adjust import LevelAdjustPolicy
     from repro.obs.metrics import MetricsRegistry
-    from repro.sim import DesSimulationEngine, ReadRetryModel, observe
-    from repro.traces import make_workload, workload_names
 
     if mode not in PROFILE_MODES:
         raise ConfigurationError(
             f"unknown profile mode {mode!r}; choose from {PROFILE_MODES}"
         )
-    if workload not in workload_names():
-        raise ConfigurationError(
-            f"unknown workload {workload!r}; choose from {workload_names()}"
-        )
-    if system not in system_names():
-        raise ConfigurationError(
-            f"unknown system {system!r}; choose from {system_names()}"
-        )
-
-    from repro.ftl import SsdConfig
-
-    ssd_config = SsdConfig(
-        n_blocks=blocks, pages_per_block=64, initial_pe_cycles=pe
-    )
-    workload_obj = make_workload(workload, ssd_config.logical_pages)
-    trace = workload_obj.generate(requests, seed=seed)
-    config = SystemConfig.for_run(
-        ssd_config, workload_obj.footprint_pages, requests
-    )
     registry = MetricsRegistry() if registry is None else registry
-
-    def build_engine():
-        return DesSimulationEngine(
-            build_system(system, config, level_adjust=LevelAdjustPolicy()),
-            warmup_fraction=0.25,
-            n_channels=channels,
-            retry_model=ReadRetryModel() if retry else None,
-            observers=observe(registry=registry),
-        )
+    # The trace is built before, and outside, the profiled region.
+    trace = run.trace
 
     if mode == "sample":
-        engine = build_engine()
+        engine = run.engine(system, registry=registry)
         sampler = StackSampler(hz=hz)
         sampler.start()
         try:
-            result = engine.run(trace, workload)
+            result = engine.run(trace, run.workload)
         finally:
             sampler.stop()
         wall: dict[str, Any] = {
@@ -560,16 +562,16 @@ def profile_workload(
         holder: dict[str, Any] = {}
         # The allocation trace covers the system build and the replay.
         alloc = allocation_profile(
-            lambda: holder.update(result=build_engine().run(trace, workload)),
+            lambda: holder.update(result=run.replay(system, registry=registry)),
             top=top,
         )
         result = holder["result"]
         wall = {"loop": _loop_payload(result), "alloc": alloc}
     else:
-        engine = build_engine()
+        engine = run.engine(system, registry=registry)
         profiler = EventLoopProfiler()
         with profiler:
-            result = engine.run(trace, workload)
+            result = engine.run(trace, run.workload)
         profiler.finish_loop(
             result.wall_loop_s, result.wall_events, result.wall_requests
         )
@@ -578,14 +580,14 @@ def profile_workload(
     return {
         "schema": PROFILE_SCHEMA,
         "mode": mode,
-        "workload": workload,
+        "workload": run.workload,
         "system": system,
         # Constant: keeps the artifact schema and fingerprints unchanged.
         "engine": "des",
-        "n_channels": channels,
-        "requests": requests,
-        "seed": seed,
-        "retry": retry,
+        "n_channels": run.channels,
+        "requests": run.requests,
+        "seed": run.seed,
+        "retry": run.retry,
         "simulated": {
             "n_requests": result.n_requests,
             "mean_response_us": result.mean_response_us(),
@@ -605,5 +607,6 @@ __all__ = [
     "parse_collapsed",
     "peak_py_alloc_kb",
     "profile_fingerprint",
+    "profile_replay",
     "profile_workload",
 ]

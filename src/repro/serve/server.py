@@ -445,6 +445,10 @@ class ServeEngine:
             raise ConfigurationError(
                 "online monitoring requires a windowed recorder"
             )
+        # Checked before the window derives from it, so a bad channel
+        # count is reported as such.
+        if n_channels < 1:
+            raise ConfigurationError(f"need at least one channel: {n_channels}")
         if window is None:
             window = 2 * n_channels
         self.system = system

@@ -387,6 +387,13 @@ def test_profile_workload_rejects_unknowns():
         profile_workload("fin-2", system="warp", **RUN_KW)
 
 
+def test_allocation_profile_rejects_negative_top():
+    # A negative slice bound would keep every site but the last few.
+    with pytest.raises(ConfigurationError, match="negative allocation-site"):
+        allocation_profile(lambda: None, top=-1)
+    assert allocation_profile(lambda: [0] * 1000, top=0)["top"] == []
+
+
 def test_profile_workload_sample_and_alloc_modes():
     sample = profile_workload(
         "fin-2", mode="sample", hz=997, requests=2_500, blocks=128, seed=7

@@ -73,6 +73,54 @@ class TestCli:
         assert "seed must be non-negative" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["profile", "fin-2", "--collapsed", "stacks.txt"],
+                "--collapsed requires --mode sample",
+                id="profile-collapsed-without-sample",
+            ),
+            pytest.param(
+                ["profile", "fin-2", "--mode", "alloc", "--top", "-1"],
+                "negative allocation-site count",
+                id="profile-negative-top",
+            ),
+            pytest.param(
+                ["channel", "fin-2", "--heatmap-width", "0"],
+                "--heatmap-width",
+                id="channel-heatmap-width-0",
+            ),
+            pytest.param(
+                ["explain", "fin-2", "--vs", "flexlevel"],
+                "--vs 'flexlevel'",
+                id="explain-vs-itself",
+            ),
+            pytest.param(
+                ["channel", "fin-2", "--vs", "nope"],
+                "--vs 'nope'",
+                id="channel-vs-unknown",
+            ),
+            pytest.param(
+                ["trace", "fin-2", "--system", "nope"],
+                "unknown system 'nope'",
+                id="trace-unknown-system",
+            ),
+            pytest.param(
+                ["monitor", "nope"],
+                "unknown workload 'nope'",
+                id="monitor-unknown-workload",
+            ),
+        ],
+    )
+    def test_bad_input_exits_2_and_writes_nothing(
+        self, argv, message, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--requests", "50", "--blocks", "64"]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["simulate", "crash"])
     def test_negative_spo_rate_exits_2(self, command, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -337,6 +385,13 @@ class TestServeCommand:
         assert (
             main(["serve", "--system", "nope", "--requests", "10"]) == 2
         )
+        capsys.readouterr()
+        # The channel count is checked before the dispatch window that
+        # defaults to twice it, so the error names the channels.
+        assert main(["serve", "--channels", "0", "--requests", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "need at least one channel: 0" in err
+        assert "window" not in err
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--scheduler", "nope", "--requests", "10"])
         assert excinfo.value.code != 0
